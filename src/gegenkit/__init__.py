@@ -10,19 +10,12 @@ and verifies the rising-factorial convolution identity
 exactly over the rationals and to tolerance over floats.
 """
 
-from .coefficients import (
-    binomial_coefficient,
-    gamma_ratio_coefficient,
-    pochhammer,
-    signed_binomial,
-)
+from .coefficients import gamma_ratio_coefficient, gamma_ratios, pochhammer, signed_binomial
 from .fields import (
-    COMPLEX128,
     EXACT,
     FLOAT64,
     CoefficientField,
     FieldMismatchError,
-    field_for,
     format_exact,
     format_float,
     format_scalar,
@@ -37,7 +30,6 @@ from .gegenbauer import (
     GegenbauerTable,
     Route,
     derivative_interchange_check,
-    evaluate,
     majorant_tail,
     table_via_composition,
     table_via_recurrence,
@@ -45,16 +37,8 @@ from .gegenbauer import (
     value_via_conjugate_product,
 )
 from .identity import IdentityReport, identity_lhs, identity_rhs, sweep, verify
-from .polynomials import POLY_EXACT, Polynomial, PolynomialCoefficients, polynomial_derivative
-from .series import (
-    TruncatedSeries,
-    binomial_series,
-    compose_inner_polynomial,
-    scale_argument,
-    series_add,
-    series_mul,
-    series_scale,
-)
+from .polynomials import POLY_EXACT, Polynomial, PolynomialCoefficients
+from .series import TruncatedSeries, compose_inner_polynomial, series_add, series_mul, series_scale
 
 __version__ = "0.1.0"
 
@@ -62,9 +46,7 @@ __all__ = [
     "CoefficientField",
     "EXACT",
     "FLOAT64",
-    "COMPLEX128",
     "FieldMismatchError",
-    "field_for",
     "parse_exact",
     "parse_scalar",
     "literal_kind",
@@ -72,19 +54,16 @@ __all__ = [
     "format_float",
     "format_scalar",
     "pochhammer",
+    "gamma_ratios",
     "gamma_ratio_coefficient",
     "signed_binomial",
-    "binomial_coefficient",
     "Polynomial",
-    "polynomial_derivative",
     "PolynomialCoefficients",
     "POLY_EXACT",
     "TruncatedSeries",
     "series_add",
     "series_mul",
     "series_scale",
-    "scale_argument",
-    "binomial_series",
     "compose_inner_polynomial",
     "Route",
     "GegenbauerParams",
@@ -95,7 +74,6 @@ __all__ = [
     "table_via_recurrence",
     "value_via_conjugate_product",
     "value_at_one",
-    "evaluate",
     "majorant_tail",
     "derivative_interchange_check",
     "IdentityReport",

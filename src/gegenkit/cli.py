@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import click
 
-from .fields import format_scalar, literal_kind, parse_exact
+from .fields import format_scalar, literal_kind, parse_scalar
 from .gegenbauer import (
     GegenbauerParams,
     derivative_interchange_check,
@@ -37,30 +37,18 @@ from .identity import sweep
 __all__ = ["cli", "main"]
 
 
-def _resolve_mode(literals: list[str], mode_flag: str | None) -> str:
-    kinds = set()
-    for text in literals:
-        try:
-            kinds.add(literal_kind(text))
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+def _parse_literals(literals: list[str], mode_flag: str | None) -> list:
+    """Infer the mode from the literals (or check it against --mode) and parse them in it."""
+    kinds = {literal_kind(text) for text in literals}
     if "fraction" in kinds and "float" in kinds:
         raise click.UsageError(
             "cannot mix exact 'p/q' literals and float literals in one invocation"
         )
     if mode_flag == "exact" and "float" in kinds:
         raise click.UsageError("float literal given together with --mode exact")
-    if mode_flag is not None:
-        return mode_flag
-    return "float" if "float" in kinds else "exact"
-
-
-def _parse_in_mode(text: str, mode: str):
-    if mode == "exact":
-        return parse_exact(text)
-    if literal_kind(text) == "float":
-        return float(text.strip().replace("−", "-"))
-    return float(parse_exact(text))
+    mode = mode_flag or ("float" if "float" in kinds else "exact")
+    values = [parse_scalar(text) for text in literals]
+    return [float(v) for v in values] if mode == "float" else values
 
 
 def _serialize(value):
@@ -109,13 +97,15 @@ class RecordWriter:
 
 
 def _usage_errors(fn):
-    """Map domain ValueErrors raised by the library onto exit code 2."""
+    """Map domain ValueErrors and float overflow raised by the library onto exit code 2."""
 
     def wrapped(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except ValueError as exc:
             raise click.UsageError(str(exc))
+        except OverflowError as exc:
+            raise click.UsageError(f"float overflow: {exc.args[-1]}")
 
     wrapped.__name__ = fn.__name__
     wrapped.__doc__ = fn.__doc__
@@ -141,8 +131,7 @@ def cli():
 @_usage_errors
 def table(lam_text, order, route, mode, fmt):
     """Print one row per degree m with the coefficients of C_m, lowest power first."""
-    mode = _resolve_mode([lam_text], mode)
-    lam = _parse_in_mode(lam_text, mode)
+    (lam,) = _parse_literals([lam_text], mode)
     params = GegenbauerParams(lam, order)
     build = table_via_composition if route == "composition" else table_via_recurrence
     tbl = build(params)
@@ -165,9 +154,7 @@ def table(lam_text, order, route, mode, fmt):
 @_usage_errors
 def eval_cmd(lam_text, degree, t_text, mode, fmt):
     """Evaluate C_degree at t (recurrence route, exact Horner in exact mode)."""
-    mode = _resolve_mode([lam_text, t_text], mode)
-    lam = _parse_in_mode(lam_text, mode)
-    t = _parse_in_mode(t_text, mode)
+    lam, t = _parse_literals([lam_text, t_text], mode)
     tbl = table_via_recurrence(GegenbauerParams(lam, degree))
     value = tbl.evaluate(degree, t)
     if fmt == "text":
@@ -184,8 +171,7 @@ def eval_cmd(lam_text, degree, t_text, mode, fmt):
 @_usage_errors
 def at_one(lam_text, degree, mode, fmt):
     """C_degree(1) by the closed form (2 lambda)_degree / degree!."""
-    mode = _resolve_mode([lam_text], mode)
-    lam = _parse_in_mode(lam_text, mode)
+    (lam,) = _parse_literals([lam_text], mode)
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     value = value_at_one(lam, degree)
@@ -208,8 +194,7 @@ def verify(lam_list, m_max, mode, fmt, tolerance):
     texts = [s for s in lam_list.split(",") if s.strip()]
     if not texts:
         raise ValueError("empty lambda list")
-    mode = _resolve_mode(texts, mode)
-    lambdas = [_parse_in_mode(s, mode) for s in texts]
+    lambdas = _parse_literals(texts, mode)
     reports = sweep(lambdas, m_max)
     writer = RecordWriter(fmt) if fmt != "text" else None
     failures = 0
@@ -249,9 +234,7 @@ def deriv_check(lam_text, t_text, r_text, order, tolerance, fmt):
     Computes in float regardless of literal form (exact literals convert
     exactly).  Exit 1 when |A - B| exceeds the tolerance.
     """
-    _resolve_mode([lam_text, t_text, r_text], None)
-    lam, t, r = (float(parse_exact(s)) if literal_kind(s) != "float" else float(s)
-                 for s in (lam_text, t_text, r_text))
+    lam, t, r = _parse_literals([lam_text, t_text, r_text], "float")
     rep = derivative_interchange_check(lam, t, r, order)
     ok = rep.residual <= tolerance
     status = "pass" if ok else "fail"

@@ -11,17 +11,35 @@ for exact results, a ``float`` for double precision.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 __all__ = [
+    "check_lambda",
     "pochhammer",
+    "gamma_ratios",
     "gamma_ratio_coefficient",
     "signed_binomial",
-    "binomial_coefficient",
 ]
 
 
 def _check_index(m: int) -> None:
     if not isinstance(m, int) or m < 0:
         raise ValueError(f"index must be a nonnegative integer, got {m!r}")
+
+
+def check_lambda(lam) -> None:
+    """Reject an order parameter that is not a positive rational or finite float."""
+    if isinstance(lam, float):
+        if not math.isfinite(lam):
+            raise ValueError("lambda must be finite")
+        if lam <= 0.0:
+            raise ValueError("lambda must be positive")
+    elif isinstance(lam, (int, Fraction)):
+        if lam <= 0:
+            raise ValueError("lambda must be positive")
+    else:
+        raise TypeError(f"lambda must be a Fraction or float, got {type(lam).__name__}")
 
 
 def pochhammer(x, m: int):
@@ -33,31 +51,28 @@ def pochhammer(x, m: int):
     return result
 
 
-def gamma_ratio_coefficient(lam, m: int):
-    """(lam)_m / m!, computed as the running product of (lam+k)/(k+1).
+def gamma_ratios(x, m: int) -> list:
+    """[(x)_k / k! for k = 0..m], as the running product of (x+k)/(k+1).
 
-    The incremental form keeps float evaluation overflow-free for any lam
-    where the final value fits; over the rationals it equals
-    pochhammer(lam, m) / m! exactly.
+    The incremental form keeps float evaluation overflow-free for any x
+    where the values fit; over the rationals each entry equals
+    pochhammer(x, k) / k! exactly.
     """
     _check_index(m)
-    c = lam ** 0
+    c = x ** 0
+    out = [c]
     for k in range(m):
-        c = c * (lam + k) / (k + 1)
-    return c
+        c = c * (x + k) / (k + 1)
+        out.append(c)
+    return out
+
+
+def gamma_ratio_coefficient(lam, m: int):
+    """(lam)_m / m!, the last entry of gamma_ratios(lam, m)."""
+    return gamma_ratios(lam, m)[m]
 
 
 def signed_binomial(lam, m: int):
     """Binomial coefficient with negated upper index: C(-lam, m) = (-1)^m (lam)_m / m!."""
-    _check_index(m)
     c = gamma_ratio_coefficient(lam, m)
     return -c if m % 2 else c
-
-
-def binomial_coefficient(exponent, m: int):
-    """Generalized C(exponent, m) via the falling-factorial product."""
-    _check_index(m)
-    c = exponent ** 0
-    for j in range(m):
-        c = c * (exponent - j) / (j + 1)
-    return c

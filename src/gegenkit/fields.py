@@ -1,10 +1,10 @@
 """Coefficient fields shared by every series and polynomial operation.
 
-Scalars are plain Python values (``fractions.Fraction``, ``float``,
-``complex``); a field object supplies the constants, the coercion rules and
-the equality notion appropriate to each realization.  Exact arithmetic rides
-on the stdlib ``Fraction``, which keeps every value canonical (reduced, with
-a positive denominator) after each operation.
+Scalars are plain Python values (``fractions.Fraction`` or ``float``) and
+combine through their own operators; a field object supplies the constants
+and the coercion rules of each realization.  Exact arithmetic rides on the
+stdlib ``Fraction``, which keeps every value canonical (reduced, with a
+positive denominator) after each operation.
 
 This module also owns the scalar literal format used by the CLI and by JSON
 payloads: ``"p/q"`` (q > 0) or a plain integer for exact values, standard
@@ -13,7 +13,6 @@ decimal/scientific notation for floats.
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 from fractions import Fraction
@@ -22,12 +21,9 @@ __all__ = [
     "CoefficientField",
     "ExactRationalField",
     "Float64Field",
-    "Complex128Field",
     "EXACT",
     "FLOAT64",
-    "COMPLEX128",
     "FieldMismatchError",
-    "field_for",
     "parse_exact",
     "parse_scalar",
     "literal_kind",
@@ -50,11 +46,10 @@ def _normalize_literal(text: str) -> str:
 
 
 class CoefficientField:
-    """Arithmetic strategy over plain Python scalars.
+    """Constants and coercion for one scalar realization.
 
-    The default operations defer to the scalars' own operators.  ``divide``
-    propagates ``ZeroDivisionError``: division by zero is always a reported
-    error, never a silent inf/nan.
+    Arithmetic uses the scalars' own operators, so division by zero always
+    raises ``ZeroDivisionError`` instead of producing a silent inf/nan.
     """
 
     name = "abstract"
@@ -63,27 +58,6 @@ class CoefficientField:
 
     def coerce(self, value):
         raise NotImplementedError
-
-    def add(self, a, b):
-        return a + b
-
-    def subtract(self, a, b):
-        return a - b
-
-    def multiply(self, a, b):
-        return a * b
-
-    def divide(self, a, b):
-        return a / b
-
-    def negate(self, a):
-        return -a
-
-    def equals(self, a, b) -> bool:
-        return a == b
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero
 
     def __repr__(self):
         return f"<field {self.name}>"
@@ -112,7 +86,7 @@ class ExactRationalField(CoefficientField):
 
 
 class Float64Field(CoefficientField):
-    """IEEE-754 doubles with an explicit approximate-equality predicate."""
+    """IEEE-754 doubles."""
 
     name = "float64"
     zero = 0.0
@@ -127,44 +101,9 @@ class Float64Field(CoefficientField):
             return float(_normalize_literal(value))
         raise TypeError(f"cannot coerce {type(value).__name__} into the float64 field")
 
-    def approx_equals(self, a, b, rel_tol: float = 1e-12, abs_tol: float = 0.0) -> bool:
-        return math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
-
-
-class Complex128Field(CoefficientField):
-    """Complex doubles; hosts the e^{±i m φ} phases of the conjugate factor pair."""
-
-    name = "complex128"
-    zero = complex(0.0)
-    one = complex(1.0)
-
-    def coerce(self, value) -> complex:
-        if isinstance(value, complex):
-            return value
-        if isinstance(value, (int, float)):
-            return complex(value)
-        if isinstance(value, Fraction):
-            return complex(float(value))
-        raise TypeError(f"cannot coerce {type(value).__name__} into the complex128 field")
-
-    def approx_equals(self, a, b, rel_tol: float = 1e-12, abs_tol: float = 0.0) -> bool:
-        return cmath.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
-
 
 EXACT = ExactRationalField()
 FLOAT64 = Float64Field()
-COMPLEX128 = Complex128Field()
-
-
-def field_for(value) -> CoefficientField:
-    """Pick the field a bare scalar naturally lives in."""
-    if isinstance(value, (int, Fraction)):
-        return EXACT
-    if isinstance(value, float):
-        return FLOAT64
-    if isinstance(value, complex):
-        return COMPLEX128
-    raise TypeError(f"no coefficient field for {type(value).__name__}")
 
 
 def literal_kind(text: str) -> str:

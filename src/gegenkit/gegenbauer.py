@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import cmath
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coefficients import gamma_ratio_coefficient, signed_binomial
+from .coefficients import check_lambda, gamma_ratio_coefficient, gamma_ratios, signed_binomial
 from .fields import EXACT, FLOAT64, CoefficientField
 from .polynomials import POLY_EXACT, Polynomial
 from .series import TruncatedSeries, compose_inner_polynomial
@@ -41,7 +40,6 @@ __all__ = [
     "table_via_recurrence",
     "value_via_conjugate_product",
     "value_at_one",
-    "evaluate",
     "majorant_tail",
     "derivative_interchange_check",
 ]
@@ -51,19 +49,6 @@ class Route(enum.Enum):
     COMPOSITION = "composition"
     CONJUGATE_PRODUCT = "conjugate_product"
     RECURRENCE = "recurrence"
-
-
-def _validate_lambda(lam) -> None:
-    if isinstance(lam, float):
-        if not math.isfinite(lam):
-            raise ValueError("lambda must be finite")
-        if lam <= 0.0:
-            raise ValueError("lambda must be positive")
-    elif isinstance(lam, (int, Fraction)):
-        if lam <= 0:
-            raise ValueError("lambda must be positive")
-    else:
-        raise TypeError(f"lambda must be a Fraction or float, got {type(lam).__name__}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +67,7 @@ class GegenbauerParams:
         if isinstance(lam, int):
             lam = Fraction(lam)
             object.__setattr__(self, "lam", lam)
-        _validate_lambda(lam)
+        check_lambda(lam)
         if not isinstance(self.order, int) or self.order < 0:
             raise ValueError("order must be a nonnegative integer")
 
@@ -117,13 +102,9 @@ class GegenbauerTable:
         acc = f.zero
         power = f.one
         for p in self.polys:
-            acc = f.add(acc, f.multiply(p.evaluate(tt), power))
-            power = f.multiply(power, rr)
+            acc = acc + p.evaluate(tt) * power
+            power = power * rr
         return acc
-
-
-def evaluate(table: GegenbauerTable, m: int, t):
-    return table.evaluate(m, t)
 
 
 def table_via_composition(params: GegenbauerParams) -> GegenbauerTable:
@@ -152,13 +133,11 @@ def table_via_recurrence(params: GegenbauerParams) -> GegenbauerTable:
     if n >= 1:
         polys.append(Polynomial([f.zero, 2 * lam], f))
     for m in range(2, n + 1):
-        a = 2 * (m + lam - 1) / m
-        b = (m + 2 * lam - 2) / m
-        prev = polys[m - 1].coeffs
-        prev2 = polys[m - 2].coeffs
-        coeffs = [f.zero] + [f.multiply(f.coerce(a), c) for c in prev]
-        for j, c in enumerate(prev2):
-            coeffs[j] = f.subtract(coeffs[j], f.multiply(f.coerce(b), c))
+        a = f.coerce(2 * (m + lam - 1) / m)
+        b = f.coerce((m + 2 * lam - 2) / m)
+        coeffs = [f.zero] + [a * c for c in polys[m - 1].coeffs]
+        for j, c in enumerate(polys[m - 2].coeffs):
+            coeffs[j] = coeffs[j] - b * c
         polys.append(Polynomial(coeffs, f))
     return GegenbauerTable(params, tuple(polys), Route.RECURRENCE)
 
@@ -179,14 +158,9 @@ def value_via_conjugate_product(lam, phi: float, m: int, imag_tolerance: float =
     result is flagged when |imag| exceeds imag_tolerance * (1 + |real|),
     which signals a numerical defect rather than a math error.
     """
-    _validate_lambda(lam)
-    if not isinstance(m, int) or m < 0:
-        raise ValueError("m must be a nonnegative integer")
-    lam_f = float(lam)
+    check_lambda(lam)
+    prefix = gamma_ratios(float(lam), m)
     phi = float(phi)
-    prefix = [1.0]
-    for k in range(m):
-        prefix.append(prefix[-1] * (lam_f + k) / (k + 1))
     total = complex(0.0)
     for k in range(m + 1):
         phase = cmath.exp(1j * ((2 * k - m) * phi))
@@ -198,7 +172,7 @@ def value_via_conjugate_product(lam, phi: float, m: int, imag_tolerance: float =
 
 def value_at_one(lam, m: int):
     """C_m(1) = (2 lam)_m / m!, the coefficient-comparison closed form at t = 1."""
-    _validate_lambda(lam)
+    check_lambda(lam)
     return gamma_ratio_coefficient(2 * lam, m)
 
 
@@ -214,10 +188,9 @@ def majorant_tail(lam, order: int, r):
     closed form is then rational); otherwise computes in float, where tiny
     negative rounding residue is clamped to zero.
     """
-    _validate_lambda(lam)
+    check_lambda(lam)
     if not isinstance(order, int) or order < 0:
         raise ValueError("order must be a nonnegative integer")
-    exact_inputs = isinstance(lam, (int, Fraction)) and isinstance(r, (int, Fraction))
     if isinstance(r, float):
         if not 0.0 < r < 1.0:
             raise ValueError("r must lie strictly between 0 and 1")
@@ -227,29 +200,20 @@ def majorant_tail(lam, order: int, r):
     else:
         raise TypeError(f"r must be a Fraction or float, got {type(r).__name__}")
 
-    two_lam = 2 * lam
-    if exact_inputs and Fraction(two_lam).denominator == 1:
-        rr = Fraction(r)
-        closed = Fraction(1) / (1 - rr) ** int(two_lam)
-        partial = Fraction(0)
-        c = Fraction(1)
-        power = Fraction(1)
-        for m in range(order + 1):
-            partial += c * power
-            c = c * (two_lam + m) / (m + 1)
-            power *= rr
-        return closed - partial
-    rf = float(r)
-    lam_f = float(lam)
-    closed = (1.0 - rf) ** (-2.0 * lam_f)
-    partial = 0.0
-    c = 1.0
-    power = 1.0
-    for m in range(order + 1):
+    exact = (isinstance(lam, (int, Fraction)) and isinstance(r, (int, Fraction))
+             and Fraction(2 * lam).denominator == 1)
+    if exact:
+        two_lam, rr = Fraction(2 * lam), Fraction(r)
+        closed = 1 / (1 - rr) ** int(two_lam)
+    else:
+        two_lam, rr = 2.0 * float(lam), float(r)
+        closed = (1.0 - rr) ** -two_lam
+    partial = rr * 0
+    power = rr ** 0
+    for c in gamma_ratios(two_lam, order):
         partial += c * power
-        c = c * (2.0 * lam_f + m) / (m + 1)
-        power *= rf
-    return max(closed - partial, 0.0)
+        power *= rr
+    return closed - partial if exact else max(closed - partial, 0.0)
 
 
 @dataclass(frozen=True)
@@ -281,7 +245,7 @@ def derivative_interchange_check(lam, t, r, order: int) -> DerivativeInterchange
     r = 0 is admitted as the trivial case (every term carries a factor r, so
     A = B = 0 and the budget is 0).
     """
-    _validate_lambda(lam)
+    check_lambda(lam)
     lam_f = float(lam)
     t_f = float(t)
     r_f = float(r)

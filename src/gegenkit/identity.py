@@ -12,26 +12,12 @@ relative residual.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coefficients import gamma_ratio_coefficient
+from .coefficients import check_lambda, gamma_ratio_coefficient, gamma_ratios
 
 __all__ = ["IdentityReport", "identity_lhs", "identity_rhs", "verify", "sweep"]
-
-
-def _validate(lam, m: int) -> None:
-    if isinstance(lam, float):
-        if not (math.isfinite(lam) and lam > 0.0):
-            raise ValueError("lambda must be positive and finite")
-    elif isinstance(lam, (int, Fraction)):
-        if lam <= 0:
-            raise ValueError("lambda must be positive")
-    else:
-        raise TypeError(f"lambda must be a Fraction or float, got {type(lam).__name__}")
-    if not isinstance(m, int) or m < 0:
-        raise ValueError("m must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -55,23 +41,21 @@ class IdentityReport:
 def identity_lhs(lam, m: int):
     """sum_{k=0}^m (lam)_k (lam)_{m-k} / (k! (m-k)!), summed left to right.
 
-    The prefix a_0..a_m is built by the same running product that
-    gamma_ratio_coefficient uses, so float values match per-call evaluation
-    bit for bit.
+    The factors come from gamma_ratios, the running product that
+    gamma_ratio_coefficient also uses, so float values match per-call
+    evaluation bit for bit.
     """
-    _validate(lam, m)
-    prefix = [lam ** 0]
-    for k in range(m):
-        prefix.append(prefix[-1] * (lam + k) / (k + 1))
+    check_lambda(lam)
+    a = gamma_ratios(lam, m)
     total = lam - lam
     for k in range(m + 1):
-        total = total + prefix[k] * prefix[m - k]
+        total = total + a[k] * a[m - k]
     return total
 
 
 def identity_rhs(lam, m: int):
     """(2 lam)_m / m!: the t = 1 coefficient of the generating function."""
-    _validate(lam, m)
+    check_lambda(lam)
     return gamma_ratio_coefficient(2 * lam, m)
 
 
@@ -81,14 +65,12 @@ def verify(lam, m: int) -> IdentityReport:
     In exact mode a False flag would be an implementation defect: the
     identity holds for every lam > 0.
     """
-    _validate(lam, m)
-    if isinstance(lam, (int, Fraction)):
+    if isinstance(lam, int):
         lam = Fraction(lam)
-        lhs = identity_lhs(lam, m)
-        rhs = identity_rhs(lam, m)
-        return IdentityReport(lam, m, lhs, rhs, exact_equal=(lhs == rhs))
     lhs = identity_lhs(lam, m)
     rhs = identity_rhs(lam, m)
+    if isinstance(lam, Fraction):
+        return IdentityReport(lam, m, lhs, rhs, exact_equal=(lhs == rhs))
     residual = abs(lhs - rhs) / max(1.0, abs(rhs))
     return IdentityReport(lam, m, lhs, rhs, residual=residual)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .fields import EXACT, CoefficientField, FieldMismatchError
 
-__all__ = ["Polynomial", "polynomial_derivative", "PolynomialCoefficients", "POLY_EXACT"]
+__all__ = ["Polynomial", "PolynomialCoefficients", "POLY_EXACT"]
 
 
 class Polynomial:
@@ -57,12 +57,11 @@ class Polynomial:
         for j in range(n):
             a = self.coeffs[j] if j < len(self.coeffs) else f.zero
             b = other.coeffs[j] if j < len(other.coeffs) else f.zero
-            out.append(f.add(a, b))
+            out.append(a + b)
         return Polynomial(out, f)
 
     def __neg__(self):
-        f = self.field
-        return Polynomial([f.negate(c) for c in self.coeffs], f)
+        return Polynomial([-c for c in self.coeffs], self.field)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -79,28 +78,26 @@ class Polynomial:
             if a == f.zero:
                 continue
             for j, b in enumerate(other.coeffs):
-                out[i + j] = f.add(out[i + j], f.multiply(a, b))
+                out[i + j] = out[i + j] + a * b
         return Polynomial(out, f)
 
     __rmul__ = __mul__
 
     def scale(self, scalar) -> "Polynomial":
-        f = self.field
-        s = f.coerce(scalar)
-        return Polynomial([f.multiply(c, s) for c in self.coeffs], f)
+        s = self.field.coerce(scalar)
+        return Polynomial([c * s for c in self.coeffs], self.field)
 
     def evaluate(self, t):
         """Horner evaluation in this polynomial's own field (exact over Fraction)."""
-        f = self.field
-        x = f.coerce(t)
-        acc = f.zero
+        x = self.field.coerce(t)
+        acc = self.field.zero
         for c in reversed(self.coeffs):
-            acc = f.add(f.multiply(acc, x), c)
+            acc = acc * x + c
         return acc
 
     def derivative(self) -> "Polynomial":
         f = self.field
-        out = [f.multiply(f.coerce(j), self.coeffs[j]) for j in range(1, len(self.coeffs))]
+        out = [f.coerce(j) * self.coeffs[j] for j in range(1, len(self.coeffs))]
         return Polynomial(out or [f.zero], f)
 
     def __eq__(self, other):
@@ -117,45 +114,26 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
-def polynomial_derivative(p: Polynomial) -> Polynomial:
-    """Formal d/dt; the degree drops by one (or the result is the zero polynomial)."""
-    return p.derivative()
-
-
 class PolynomialCoefficients(CoefficientField):
-    """Polynomials in t acting as series coefficients (exact scalars only).
+    """Polynomials in t over the exact field, acting as series coefficients.
 
     This realizes the coefficient contract a third time so a series in r can
     carry whole polynomials in t as coefficients.  Polynomials form a ring,
-    not a field: division is defined only by nonzero constants, which is all
-    the series machinery ever asks for.
+    not a field; the series machinery only adds and multiplies them.
     """
 
-    def __init__(self, scalar_field: CoefficientField = EXACT):
-        if scalar_field is not EXACT:
-            raise ValueError("polynomial coefficients are supported in exact mode only")
-        self.scalar = scalar_field
-        self.name = f"poly[{scalar_field.name}]"
-        self.zero = Polynomial([scalar_field.zero], scalar_field)
-        self.one = Polynomial([scalar_field.one], scalar_field)
+    name = "poly[exact]"
+    zero = Polynomial([EXACT.zero])
+    one = Polynomial([EXACT.one])
 
     def coerce(self, value) -> Polynomial:
         if isinstance(value, Polynomial):
-            if value.field is not self.scalar:
+            if value.field is not EXACT:
                 raise FieldMismatchError(
                     f"polynomial over {value.field.name} in a {self.name} series"
                 )
             return value
-        return Polynomial([self.scalar.coerce(value)], self.scalar)
-
-    def divide(self, a, b):
-        divisor = self.coerce(b)
-        if divisor.degree > 0:
-            raise ValueError("cannot divide series coefficients by a non-constant polynomial")
-        c = divisor.coeffs[0]
-        if c == self.scalar.zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        return self.coerce(a).scale(self.scalar.divide(self.scalar.one, c))
+        return Polynomial([EXACT.coerce(value)])
 
 
-POLY_EXACT = PolynomialCoefficients(EXACT)
+POLY_EXACT = PolynomialCoefficients()

@@ -9,15 +9,13 @@ coefficient is fully determined -- nothing is padded with invented zeros.
 
 from __future__ import annotations
 
-from .fields import COMPLEX128, CoefficientField, FieldMismatchError, field_for
+from .fields import CoefficientField, FieldMismatchError
 
 __all__ = [
     "TruncatedSeries",
     "series_add",
     "series_mul",
     "series_scale",
-    "scale_argument",
-    "binomial_series",
     "compose_inner_polynomial",
 ]
 
@@ -76,8 +74,7 @@ def _require_same_field(a: TruncatedSeries, b: TruncatedSeries) -> None:
 def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Coefficient-wise sum, truncated to min(a.order, b.order)."""
     _require_same_field(a, b)
-    f = a.field
-    return TruncatedSeries([f.add(x, y) for x, y in zip(a.coeffs, b.coeffs)], f)
+    return TruncatedSeries([x + y for x, y in zip(a.coeffs, b.coeffs)], a.field)
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -93,56 +90,19 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     out = [f.zero] * (n + 1)
     for i in range(n + 1):
         ai = a.coeffs[i]
-        if f.is_zero(ai):
+        if ai == f.zero:
             continue
         for j in range(n + 1 - i):
             bj = b.coeffs[j]
-            if not f.is_zero(bj):
-                out[i + j] = f.add(out[i + j], f.multiply(ai, bj))
+            if bj != f.zero:
+                out[i + j] = out[i + j] + ai * bj
     return TruncatedSeries(out, f)
 
 
 def series_scale(a: TruncatedSeries, scalar) -> TruncatedSeries:
     """Multiply every coefficient by a fixed scalar of the same field."""
-    f = a.field
-    s = f.coerce(scalar)
-    return TruncatedSeries([f.multiply(c, s) for c in a.coeffs], f)
-
-
-def scale_argument(a: TruncatedSeries, factor, field: CoefficientField | None = None) -> TruncatedSeries:
-    """Substitute r -> factor * r: coefficient m picks up factor^m.
-
-    Passing a complex factor promotes a real series into the complex field;
-    this is how x = -r e^{±i φ} enters a binomial expansion, by coefficient
-    scaling rather than composition.
-    """
-    if field is None:
-        field = COMPLEX128 if isinstance(factor, complex) else a.field
-    s = field.coerce(factor)
-    out = []
-    power = field.one
-    for c in a.coeffs:
-        out.append(field.multiply(field.coerce(c), power))
-        power = field.multiply(power, s)
-    return TruncatedSeries(out, field)
-
-
-def binomial_series(exponent, order: int, field: CoefficientField | None = None) -> TruncatedSeries:
-    """Expansion of (1 + x)^exponent through x^order.
-
-    coeffs[m] = C(exponent, m), built by the falling-factorial running
-    product; for exponent = -lam this equals (-1)^m (lam)_m / m!.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    f = field if field is not None else field_for(exponent)
-    e = f.coerce(exponent)
-    coeffs = [f.one]
-    c = f.one
-    for m in range(1, order + 1):
-        c = f.divide(f.multiply(c, f.subtract(e, f.coerce(m - 1))), f.coerce(m))
-        coeffs.append(c)
-    return TruncatedSeries(coeffs, f)
+    s = a.field.coerce(scalar)
+    return TruncatedSeries([c * s for c in a.coeffs], a.field)
 
 
 def compose_inner_polynomial(outer_coeffs, inner: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -157,7 +117,7 @@ def compose_inner_polynomial(outer_coeffs, inner: TruncatedSeries, order: int) -
     if order < 0:
         raise ValueError("order must be nonnegative")
     f = inner.field
-    if not f.is_zero(inner.coeffs[0]):
+    if inner.coeffs[0] != f.zero:
         raise ValueError("inner polynomial must have zero constant term")
     padded = list(inner.coeffs[: order + 1])
     padded += [f.zero] * (order + 1 - len(padded))

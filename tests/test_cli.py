@@ -165,6 +165,21 @@ class TestDerivCheck:
                      "--order", "10", "--tolerance", "1e-12")
         assert res.exit_code == 1
 
+    def test_unicode_minus_matches_ascii(self, runner):
+        ascii_res = invoke(runner, "deriv-check", "--lambda", "1.0", "--t", "-0.5", "--r", "0.5",
+                           "--order", "10")
+        unicode_res = invoke(runner, "deriv-check", "--lambda", "1.0", "--t", "\u22120.5", "--r",
+                             "0.5", "--order", "10")
+        assert unicode_res.exit_code == ascii_res.exit_code == 1
+        assert unicode_res.stdout == ascii_res.stdout
+
+    def test_float_overflow_is_usage_error(self, runner):
+        res = invoke(runner, "deriv-check", "--lambda", "300", "--t", "0.5", "--r", "0.99",
+                     "--order", "10")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines()[-1] == "Error: float overflow: Numerical result out of range"
+
     def test_json_has_budget_record(self, runner):
         res = invoke(runner, "deriv-check", "--lambda", "1", "--t", "0", "--r", "0.3",
                      "--order", "40", "--format", "json")

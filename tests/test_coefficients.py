@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gegenkit.coefficients import (
-    binomial_coefficient,
     gamma_ratio_coefficient,
+    gamma_ratios,
     pochhammer,
     signed_binomial,
 )
@@ -68,6 +68,14 @@ class TestGammaRatioCoefficient:
     def test_positive_for_positive_lambda(self, lam, m):
         assert gamma_ratio_coefficient(lam, m) > 0
 
+    def test_ratios_are_the_running_prefix(self):
+        for lam in [Fraction(7, 3), 2.75]:
+            ratios = gamma_ratios(lam, 30)
+            assert ratios == [gamma_ratios(lam, m)[-1] for m in range(31)]
+        assert gamma_ratios(Fraction(3, 2), 3) == [1, Fraction(3, 2), Fraction(15, 8), Fraction(35, 16)]
+        with pytest.raises(ValueError):
+            gamma_ratios(Fraction(1), -1)
+
     def test_float_matches_exact_within_1e12(self):
         rng = random.Random(99)
         cases = [(Fraction(p, q), m) for p, q, m in
@@ -100,15 +108,3 @@ class TestSignedBinomial:
     def test_sign_alternates_with_parity(self, lam, m):
         value = signed_binomial(lam, m)
         assert (value > 0) == (m % 2 == 0)
-
-
-class TestBinomialCoefficient:
-    def test_matches_comb_for_integer_exponents(self):
-        for n in range(0, 12):
-            for m in range(0, 15):
-                assert binomial_coefficient(Fraction(n), m) == math.comb(n, m)
-
-    def test_negated_exponent_equals_signed_binomial(self):
-        for lam in [Fraction(1, 2), Fraction(9, 4)]:
-            for m in range(15):
-                assert binomial_coefficient(-lam, m) == signed_binomial(lam, m)

@@ -13,7 +13,6 @@ from gegenkit.gegenbauer import (
     GegenbauerTable,
     Route,
     derivative_interchange_check,
-    evaluate,
     majorant_tail,
     table_via_composition,
     table_via_recurrence,
@@ -165,17 +164,17 @@ class TestTableInvariants:
 class TestEvaluate:
     def test_examples(self):
         tbl = table_via_composition(GegenbauerParams(Fraction(1), 2))
-        assert evaluate(tbl, 2, 1) == 3
-        assert evaluate(tbl, 0, Fraction(123, 7)) == 1
+        assert tbl.evaluate(2, 1) == 3
+        assert tbl.evaluate(0, Fraction(123, 7)) == 1
         half = table_via_composition(GegenbauerParams(Fraction(1, 2), 2))
-        assert evaluate(half, 2, 0) == Fraction(-1, 2)
+        assert half.evaluate(2, 0) == Fraction(-1, 2)
 
     def test_out_of_range(self):
         tbl = table_via_composition(GegenbauerParams(Fraction(1), 2))
         with pytest.raises(ValueError):
-            evaluate(tbl, 3, 0)
+            tbl.evaluate(3, 0)
         with pytest.raises(ValueError):
-            evaluate(tbl, -1, 0)
+            tbl.evaluate(-1, 0)
 
     def test_eq3_consistency_at_one(self):
         for lam in LAMBDAS:
@@ -206,6 +205,34 @@ class TestValueAtOne:
 
 
 class TestConjugateProduct:
+    """The conjugate-pair convolution is real up to rounding.
+
+    Float rounding in the convolution scales with the sum of term moduli
+    (the value at phi = 0, which is C_m(1)), not with the real part left
+    after phase cancellation; the cancellation ratio grows like m^lam, so a
+    bound relative to the real part is only achievable for small lam.
+    """
+
+    def test_imag_at_rounding_scale_everywhere(self):
+        rng = random.Random(314)
+        for _ in range(25):
+            lam = rng.uniform(0.05, 10.0)
+            n = rng.randint(0, 50)
+            phi = rng.uniform(0.0, math.pi)
+            for m in range(n + 1):
+                got = value_via_conjugate_product(lam, phi, m)
+                assert got.imag_residue <= 1e-12 * (1 + value_at_one(lam, m))
+
+    def test_imag_small_relative_to_real_part_for_small_lam(self):
+        rng = random.Random(2718)
+        for _ in range(40):
+            lam = rng.uniform(0.05, 2.5)
+            n = rng.randint(0, 50)
+            phi = rng.uniform(0.0, math.pi)
+            for m in range(n + 1):
+                got = value_via_conjugate_product(lam, phi, m)
+                assert got.imag_residue <= 1e-12 * (1 + abs(got.value))
+
     def test_phi_zero_is_positive_sum(self):
         for lam in (0.5, 1.0, 2.25):
             for m in (0, 1, 5, 12):

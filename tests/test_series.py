@@ -1,7 +1,5 @@
-"""Truncated series arithmetic: Cauchy product, binomial expansion, composition."""
+"""Truncated series arithmetic: Cauchy product and composition."""
 
-import cmath
-import math
 import random
 from fractions import Fraction
 
@@ -9,14 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gegenkit.coefficients import gamma_ratio_coefficient
-from gegenkit.fields import COMPLEX128, EXACT, FLOAT64, FieldMismatchError
+from gegenkit.coefficients import gamma_ratios
+from gegenkit.fields import EXACT, FLOAT64, FieldMismatchError
 from gegenkit.polynomials import POLY_EXACT, Polynomial
 from gegenkit.series import (
     TruncatedSeries,
-    binomial_series,
     compose_inner_polynomial,
-    scale_argument,
     series_add,
     series_mul,
     series_scale,
@@ -76,15 +72,11 @@ class TestMul:
         assert series_mul(a, TruncatedSeries.one(EXACT, 2)) == a
 
     def test_conjugate_pair_at_phi_zero(self):
-        """[(1 - r e^{i*0})(1 - r e^{-i*0})]^(-1) = (1-r)^(-2): coefficient m is m+1."""
-        n = 12
-        base = binomial_series(-1.0, n)
-        left = scale_argument(base, -cmath.exp(1j * 0.0))
-        right = scale_argument(base, -cmath.exp(-1j * 0.0))
-        prod = series_mul(left, right)
-        for m, c in enumerate(prod.coeffs):
-            assert math.isclose(c.real, m + 1, rel_tol=1e-12)
-            assert abs(c.imag) <= 1e-12 * (1 + abs(c.real))
+        """(1-r)^(-lam) (1-r)^(-lam) = (1-r)^(-2 lam): the identity as a Cauchy product."""
+        n = 30
+        for lam in [Fraction(1), Fraction(1, 2), Fraction(7, 3)]:
+            factor = TruncatedSeries(gamma_ratios(lam, n), EXACT)
+            assert series_mul(factor, factor).coeffs == tuple(gamma_ratios(2 * lam, n))
 
     def test_matches_full_convolution_oracle(self):
         rng = random.Random(7)
@@ -139,50 +131,6 @@ class TestRingAxioms:
             assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
 
 
-class TestBinomialSeries:
-    def test_geometric(self):
-        s = binomial_series(Fraction(-1), 3)
-        assert s.coeffs == (Fraction(1), Fraction(-1), Fraction(1), Fraction(-1))
-
-    def test_finite_binomial_pads_with_zeros(self):
-        s = binomial_series(Fraction(2), 4)
-        assert s.coeffs == (Fraction(1), Fraction(2), Fraction(1), Fraction(0), Fraction(0))
-
-    def test_half_exponent(self):
-        s = binomial_series(Fraction(-1, 2), 2)
-        assert s.coeffs == (Fraction(1), Fraction(-1, 2), Fraction(3, 8))
-
-    def test_matches_falling_factorial_oracle(self):
-        for e in [Fraction(-7, 3), Fraction(5, 2), Fraction(-4)]:
-            s = binomial_series(e, 15)
-            for m, c in enumerate(s.coeffs):
-                assert c == falling_binomial(e, m)
-
-    def test_doubled_parameter_matches_gamma_ratio(self):
-        """C(-2 lam, m) (-1)^m == (2 lam)_m / m!, exactly."""
-        for lam in [Fraction(1, 2), Fraction(1), Fraction(7, 3), Fraction(10)]:
-            s = binomial_series(-2 * lam, 40)
-            for m, c in enumerate(s.coeffs):
-                assert c * (-1) ** m == gamma_ratio_coefficient(2 * lam, m)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            binomial_series(Fraction(1), -1)
-
-
-class TestScaleArgument:
-    def test_powers_of_factor(self):
-        s = exact_series([1, 1, 1])
-        scaled = scale_argument(s, Fraction(2))
-        assert scaled.coeffs == (Fraction(1), Fraction(2), Fraction(4))
-
-    def test_complex_promotion(self):
-        s = binomial_series(-1.0, 2)
-        scaled = scale_argument(s, 1j)
-        assert scaled.field is COMPLEX128
-        assert scaled.coeffs == (1 + 0j, -1j, -1 + 0j)
-
-
 class TestCompose:
     def test_identity_composition(self):
         inner = exact_series([0, 1])
@@ -223,41 +171,3 @@ class TestCompose:
             want = gegenbauer_coeff_lists(lam, n)
             for m in range(n + 1):
                 assert list(got.coeffs[m].coeffs) == want[m]
-
-
-class TestPhiGridRealness:
-    """The paired conjugate expansions multiply to a real series.
-
-    Float rounding in the convolution scales with the sum of term moduli
-    (the coefficient's value at phi = 0), not with the real part left after
-    phase cancellation; the cancellation ratio grows like m^lam, so a bound
-    relative to the real part is only achievable for small lam.
-    """
-
-    def _product(self, lam, n, phi):
-        base = binomial_series(-lam, n)
-        left = scale_argument(base, -cmath.exp(1j * phi))
-        right = scale_argument(base, -cmath.exp(-1j * phi))
-        return base, series_mul(left, right)
-
-    def test_imag_at_rounding_scale_everywhere(self):
-        rng = random.Random(314)
-        for _ in range(25):
-            lam = rng.uniform(0.05, 10.0)
-            n = rng.randint(0, 50)
-            phi = rng.uniform(0.0, math.pi)
-            base, prod = self._product(lam, n, phi)
-            moduli = [abs(c) for c in base.coeffs]
-            for m, c in enumerate(prod.coeffs):
-                scale = sum(moduli[k] * moduli[m - k] for k in range(m + 1))
-                assert abs(c.imag) <= 1e-12 * (1 + scale)
-
-    def test_imag_small_relative_to_real_part_for_small_lam(self):
-        rng = random.Random(2718)
-        for _ in range(40):
-            lam = rng.uniform(0.05, 2.5)
-            n = rng.randint(0, 50)
-            phi = rng.uniform(0.0, math.pi)
-            _, prod = self._product(lam, n, phi)
-            for c in prod.coeffs:
-                assert abs(c.imag) <= 1e-12 * (1 + abs(c.real))
