@@ -3,7 +3,8 @@
 Output conventions:
 
 * exit 0 -- all requested checks pass; exit 1 -- a mathematical check failed;
-  exit 2 -- usage or domain error (one-line reason on stderr).
+  exit 2 -- usage or domain error, or a float result that is inf or nan
+  (one-line reason on stderr).
 * --format csv: columns lambda,m,check,value_or_lhs,rhs,residual,status.
 * --format json: one object per line with the same keys (coefficient lists
   are arrays); values match the CSV cells field for field.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -56,6 +58,12 @@ def _serialize(value):
     if isinstance(value, (int, Fraction)):
         return format_scalar(Fraction(value))
     return float(value)
+
+
+def _finite(*values) -> None:
+    """Raise OverflowError if a float about to be printed is inf or nan."""
+    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        raise OverflowError("result is not finite")
 
 
 def _cell(value) -> str:
@@ -157,6 +165,7 @@ def eval_cmd(lam_text, degree, t_text, mode, fmt):
     lam, t = _parse_literals([lam_text, t_text], mode)
     tbl = table_via_recurrence(GegenbauerParams(lam, degree))
     value = tbl.evaluate(degree, t)
+    _finite(value)
     if fmt == "text":
         click.echo(_cell(_serialize(value)))
     else:
@@ -175,6 +184,7 @@ def at_one(lam_text, degree, mode, fmt):
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     value = value_at_one(lam, degree)
+    _finite(value)
     if fmt == "text":
         click.echo(_cell(_serialize(value)))
     else:
@@ -196,6 +206,8 @@ def verify(lam_list, m_max, mode, fmt, tolerance):
         raise ValueError("empty lambda list")
     lambdas = _parse_literals(texts, mode)
     reports = sweep(lambdas, m_max)
+    for rep in reports:
+        _finite(rep.lhs, rep.rhs, rep.residual)
     writer = RecordWriter(fmt) if fmt != "text" else None
     failures = 0
     for rep in reports:

@@ -56,9 +56,11 @@ def gamma_ratios(x, m: int) -> list:
 
     The incremental form keeps float evaluation overflow-free for any x
     where the values fit; over the rationals each entry equals
-    pochhammer(x, k) / k! exactly.
+    pochhammer(x, k) / k! exactly.  An int x is taken as Fraction(x).
     """
     _check_index(m)
+    if isinstance(x, int):
+        x = Fraction(x)
     c = x ** 0
     out = [c]
     for k in range(m):

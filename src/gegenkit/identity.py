@@ -8,14 +8,20 @@ The left side is the Cauchy-product coefficient of the conjugate factor pair
 at phi = 0; the right side is the coefficient comparison of (1-r)^(-2 lam).
 Exact mode (rational lam) asserts literal equality; float mode reports a
 relative residual.
+
+Exact mode runs in integers: with lam = p/q, multiplying by q^m m! turns the
+identity into sum_k C(m, k) P_k P_{m-k} == Q_m, where P_k = prod_{j<k} (p + j q)
+and Q_m = prod_{j<m} (2p + j q) (DLMF 5.2(iii)).  Float mode sums gamma_ratios
+left to right.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 
-from .coefficients import check_lambda, gamma_ratio_coefficient, gamma_ratios
+from .coefficients import _check_index, check_lambda, gamma_ratio_coefficient, gamma_ratios
 
 __all__ = ["IdentityReport", "identity_lhs", "identity_rhs", "verify", "sweep"]
 
@@ -38,25 +44,41 @@ class IdentityReport:
         return self.residual <= tolerance
 
 
-def identity_lhs(lam, m: int):
-    """sum_{k=0}^m (lam)_k (lam)_{m-k} / (k! (m-k)!), summed left to right.
+def _rising_products(a: int, q: int, m: int) -> list[int]:
+    """[prod_{j<k} (a + j q) for k = 0..m], that is q^k (a/q)_k in integers."""
+    _check_index(m)
+    out = [1]
+    for j in range(m):
+        out.append(out[-1] * (a + j * q))
+    return out
 
-    The factors come from gamma_ratios, the running product that
-    gamma_ratio_coefficient also uses, so float values match per-call
-    evaluation bit for bit.
+
+def identity_lhs(lam, m: int):
+    """sum_{k=0}^m (lam)_k (lam)_{m-k} / (k! (m-k)!).
+
+    Exact lam = p/q: the integer sum_k C(m, k) P_k P_{m-k} over q^m m!,
+    reduced once.  Float: the gamma_ratios factors summed left to right, so
+    values match per-call gamma_ratio_coefficient evaluation bit for bit.
     """
     check_lambda(lam)
-    a = gamma_ratios(lam, m)
-    total = lam - lam
-    for k in range(m + 1):
-        total = total + a[k] * a[m - k]
-    return total
+    if isinstance(lam, float):
+        a = gamma_ratios(lam, m)
+        total = 0.0
+        for k in range(m + 1):
+            total = total + a[k] * a[m - k]
+        return total
+    q = lam.denominator
+    P = _rising_products(lam.numerator, q, m)
+    return Fraction(sum(comb(m, k) * P[k] * P[m - k] for k in range(m + 1)), q**m * factorial(m))
 
 
 def identity_rhs(lam, m: int):
-    """(2 lam)_m / m!: the t = 1 coefficient of the generating function."""
+    """(2 lam)_m / m!, the t = 1 coefficient; exact lam = p/q gives Q_m / (q^m m!)."""
     check_lambda(lam)
-    return gamma_ratio_coefficient(2 * lam, m)
+    if isinstance(lam, float):
+        return gamma_ratio_coefficient(2 * lam, m)
+    q = lam.denominator
+    return Fraction(_rising_products(2 * lam.numerator, q, m)[m], q**m * factorial(m))
 
 
 def verify(lam, m: int) -> IdentityReport:

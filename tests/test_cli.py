@@ -187,6 +187,20 @@ class TestDerivCheck:
         assert [r["check"] for r in recs] == ["deriv-check", "deriv-check-budget"]
 
 
+class TestNonFiniteFloat:
+    @pytest.mark.parametrize("args", [
+        ["at-one", "--lambda", "1e300", "--degree", "3"],
+        ["eval", "--lambda", "300.0", "--degree", "400", "--t", "0.5"],
+        # rows m = 0, 1 are finite: nothing may be printed before m = 2 is checked
+        ["verify", "--lambda-list", "1e300", "--m-max", "2"],
+    ])
+    def test_inf_or_nan_is_usage_error(self, runner, args):
+        res = invoke(runner, *args)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines()[-1] == "Error: float overflow: result is not finite"
+
+
 class TestFormatsAgree:
     @pytest.mark.parametrize(
         "args",

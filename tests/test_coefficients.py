@@ -14,6 +14,8 @@ from gegenkit.coefficients import (
     pochhammer,
     signed_binomial,
 )
+from gegenkit.gegenbauer import value_at_one
+from gegenkit.identity import identity_lhs
 
 from oracles import falling_binomial
 
@@ -44,6 +46,11 @@ class TestPochhammer:
 
 
 class TestGammaRatioCoefficient:
+    def test_int_argument_stays_exact(self):
+        for value, want in [(gamma_ratio_coefficient(3, 2), 6), (identity_lhs(1, 3), 4),
+                            (value_at_one(2, 3), 20)]:
+            assert type(value) is Fraction and value == want
+
     @pytest.mark.parametrize("m", [0, 1, 5, 17])
     def test_lambda_one_collapses(self, m):
         assert gamma_ratio_coefficient(Fraction(1), m) == 1

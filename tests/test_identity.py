@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gegenkit.coefficients import gamma_ratio_coefficient
@@ -140,8 +140,18 @@ class TestCrossModule:
                 want = identity_lhs(lam, m)
                 assert abs(got.value - want) <= 1e-10 * (1 + abs(want))
 
-    def test_rhs_is_value_at_one(self):
-        for lam in [Fraction(1, 2), Fraction(1), Fraction(7, 3)]:
-            for m in range(30):
-                assert identity_rhs(lam, m) == value_at_one(lam, m)
-                assert identity_rhs(lam, m) == gamma_ratio_coefficient(2 * lam, m)
+    @settings(max_examples=150, deadline=None)
+    @given(positive_rationals, st.integers(min_value=0, max_value=60))
+    # even denominators: 2 lam = 2p/q reduces, the integer kernel keeps 2p over q
+    @example(Fraction(1, 4), 60)
+    @example(Fraction(3, 4), 60)
+    @example(Fraction(5, 2), 60)
+    def test_rhs_is_value_at_one(self, lam, m):
+        assert identity_rhs(lam, m) == value_at_one(lam, m)
+        assert identity_rhs(lam, m) == gamma_ratio_coefficient(2 * lam, m)
+
+    @pytest.mark.parametrize("lam", [3, Fraction(3), Fraction(5, 2)])
+    def test_exact_sides_are_fractions(self, lam):
+        for m in (0, 1, 7):
+            assert type(identity_lhs(lam, m)) is Fraction
+            assert type(identity_rhs(lam, m)) is Fraction
