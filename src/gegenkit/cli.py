@@ -143,6 +143,7 @@ def table(lam_text, order, route, mode, fmt):
     params = GegenbauerParams(lam, order)
     build = table_via_composition if route == "composition" else table_via_recurrence
     tbl = build(params)
+    _finite(*(c for poly in tbl.polys for c in poly.coeffs))
     lam_cell = _serialize(lam)
     writer = RecordWriter(fmt) if fmt != "text" else None
     for m in range(order + 1):
@@ -248,6 +249,7 @@ def deriv_check(lam_text, t_text, r_text, order, tolerance, fmt):
     """
     lam, t, r = _parse_literals([lam_text, t_text, r_text], "float")
     rep = derivative_interchange_check(lam, t, r, order)
+    _finite(rep.closed_form, rep.partial_sum, rep.residual, rep.tail_budget)
     ok = rep.residual <= tolerance
     status = "pass" if ok else "fail"
     if fmt == "text":

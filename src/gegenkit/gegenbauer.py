@@ -7,7 +7,8 @@ routes:
   coefficients and collect powers of r; exact, yields whole polynomials.
 * recurrence   -- C_0 = 1, C_1 = 2 lam t,
   m C_m = 2 t (m + lam - 1) C_{m-1} - (m + 2 lam - 2) C_{m-2};
-  works over exact rationals or floats.
+  works over exact rationals or floats.  Exact mode (lam = p/q) runs in
+  integers on q^m m! C_m and reduces each coefficient once.
 * conjugate product -- write t = cos(phi), factor the generating function as
   [(1 - r e^{i phi})(1 - r e^{-i phi})]^(-lam) and convolve the two binomial
   expansions, giving C_m(cos phi) as a finite complex sum whose imaginary
@@ -125,11 +126,30 @@ def table_via_composition(params: GegenbauerParams) -> GegenbauerTable:
 
 
 def table_via_recurrence(params: GegenbauerParams) -> GegenbauerTable:
-    """Three-term recurrence in either field; validated elsewhere against composition."""
+    """Three-term recurrence in either field; validated elsewhere against composition.
+
+    Exact lam = p/q runs in integers on D_m = q^m m! C_m,
+    D_m = 2 t ((m-1) q + p) D_{m-1} - (m-1) q ((m-2) q + 2p) D_{m-2},
+    touching only the entries of the parity of m and keeping two integer rows;
+    each nonzero coefficient is reduced once, as D_m[j] / (q^m m!).
+    """
     f = params.field
-    lam = params.lam if f is EXACT else float(params.lam)
     n = params.order
     polys = [Polynomial([f.one], f)]
+    if f is EXACT:
+        p, q = params.lam.numerator, params.lam.denominator
+        older, row, scale = [], [1], 1
+        for m in range(1, n + 1):
+            a = 2 * ((m - 1) * q + p)
+            b = (m - 1) * q * ((m - 2) * q + 2 * p)
+            shifted, padded = [0] + row, older + [0, 0]
+            older, row = row, [0] * (m + 1)
+            for j in range(m % 2, m + 1, 2):
+                row[j] = a * shifted[j] - b * padded[j]
+            scale *= m * q
+            polys.append(Polynomial([Fraction(c, scale) if c else f.zero for c in row]))
+        return GegenbauerTable(params, tuple(polys), Route.RECURRENCE)
+    lam = float(params.lam)
     if n >= 1:
         polys.append(Polynomial([f.zero, 2 * lam], f))
     for m in range(2, n + 1):

@@ -11,7 +11,10 @@ class Polynomial:
     """Coefficients in increasing powers of the variable t.
 
     Trailing zero coefficients are stripped on construction; the canonical
-    zero polynomial is the single-entry list [0].
+    zero polynomial is the single-entry list [0].  `+`, `*` and `scale` skip
+    zero coefficients, which changes no exact value; over floats a -0.0 can
+    then survive where -0.0 + 0.0 would give 0.0.  No library float path
+    uses these operators.
     """
 
     __slots__ = ("field", "coeffs")
@@ -51,14 +54,14 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_field(other)
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for j in range(n):
-            a = self.coeffs[j] if j < len(self.coeffs) else f.zero
-            b = other.coeffs[j] if j < len(other.coeffs) else f.zero
-            out.append(a + b)
-        return Polynomial(out, f)
+        longer, shorter = self.coeffs, other.coeffs
+        if len(longer) < len(shorter):
+            longer, shorter = shorter, longer
+        out = list(longer)
+        for j, b in enumerate(shorter):
+            if b:
+                out[j] = out[j] + b
+        return Polynomial(out, self.field)
 
     def __neg__(self):
         return Polynomial([-c for c in self.coeffs], self.field)
@@ -74,10 +77,11 @@ class Polynomial:
             return self.scale(other)
         self._require_same_field(other)
         out = [f.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            if a == f.zero:
+            if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in nonzero:
                 out[i + j] = out[i + j] + a * b
         return Polynomial(out, f)
 
@@ -85,7 +89,7 @@ class Polynomial:
 
     def scale(self, scalar) -> "Polynomial":
         s = self.field.coerce(scalar)
-        return Polynomial([c * s for c in self.coeffs], self.field)
+        return Polynomial([c * s if c else c for c in self.coeffs], self.field)
 
     def evaluate(self, t):
         """Horner evaluation in this polynomial's own field (exact over Fraction)."""

@@ -82,20 +82,22 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
     For each output index the terms accumulate in increasing k, so float
     results are reproducible run to run.  Exact zero operands are skipped;
-    that changes no value and makes products against sparse factors cheap.
+    the nonzero entries of b are collected once, so a product against a
+    sparse b costs one pass over a for each nonzero entry of b.
     """
     _require_same_field(a, b)
     f = a.field
     n = min(a.order, b.order)
     out = [f.zero] * (n + 1)
+    nonzero = [(j, bj) for j, bj in enumerate(b.coeffs[: n + 1]) if bj != f.zero]
     for i in range(n + 1):
         ai = a.coeffs[i]
         if ai == f.zero:
             continue
-        for j in range(n + 1 - i):
-            bj = b.coeffs[j]
-            if bj != f.zero:
-                out[i + j] = out[i + j] + ai * bj
+        for j, bj in nonzero:
+            if i + j > n:
+                break
+            out[i + j] = out[i + j] + ai * bj
     return TruncatedSeries(out, f)
 
 

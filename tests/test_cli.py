@@ -193,6 +193,10 @@ class TestNonFiniteFloat:
         ["eval", "--lambda", "300.0", "--degree", "400", "--t", "0.5"],
         # rows m = 0, 1 are finite: nothing may be printed before m = 2 is checked
         ["verify", "--lambda-list", "1e300", "--m-max", "2"],
+        # rows m = 0, 1 are finite, m = 2 overflows: no row may be printed
+        ["table", "--lambda", "1e300", "--order", "3", "--route", "recurrence"],
+        # high-degree coefficients overflow to +-inf, so the partial sum is nan
+        ["deriv-check", "--lambda", "1e12", "--t", "0.5", "--r", "1e-10", "--order", "30"],
     ])
     def test_inf_or_nan_is_usage_error(self, runner, args):
         res = invoke(runner, *args)

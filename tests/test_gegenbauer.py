@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gegenkit.coefficients import gamma_ratio_coefficient, pochhammer
 from gegenkit.fields import EXACT, FLOAT64
@@ -22,6 +24,7 @@ from gegenkit.gegenbauer import (
 from gegenkit.polynomials import Polynomial
 
 from oracles import chebyshev_u_value, gegenbauer_coeff_lists
+from test_identity import positive_rationals
 
 LAMBDAS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3)]
 
@@ -114,6 +117,49 @@ class TestRecurrence:
             for pe, pf in zip(exact_tbl.polys, float_tbl.polys):
                 for ce, cf in zip(pe.coeffs, pf.coeffs):
                     assert math.isclose(cf, float(ce), rel_tol=1e-12, abs_tol=1e-300)
+
+
+def generic_float_recurrence(lam: float, n: int) -> list:
+    """The field-generic recurrence loop, step for step, with the float field inlined."""
+    rows = [[1.0]]
+    if n >= 1:
+        rows.append([0.0, 2 * lam])
+    for m in range(2, n + 1):
+        a = float(2 * (m + lam - 1) / m)
+        b = float((m + 2 * lam - 2) / m)
+        coeffs = [0.0] + [a * c for c in rows[m - 1]]
+        for j, c in enumerate(rows[m - 2]):
+            coeffs[j] = coeffs[j] - b * c
+        rows.append(coeffs)
+    return rows
+
+
+class TestRecurrenceKernels:
+    """The exact branch runs in integers on q^m m! C_m; the float branch is the generic loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(positive_rationals, st.integers(min_value=0, max_value=40))
+    def test_exact_against_bivariate_oracle(self, lam, n):
+        tbl = table_via_recurrence(GegenbauerParams(lam, n))
+        assert [list(p.coeffs) for p in tbl.polys] == gegenbauer_coeff_lists(lam, n)
+        assert all(type(c) is Fraction for p in tbl.polys for c in p.coeffs)
+
+    @pytest.mark.parametrize("lam", [3, Fraction(1, 4), Fraction(5, 2)])
+    def test_integer_and_even_denominator_lambdas(self, lam):
+        tbl = table_via_recurrence(GegenbauerParams(lam, 30))
+        assert [list(p.coeffs) for p in tbl.polys] == gegenbauer_coeff_lists(Fraction(lam), 30)
+
+    def test_exact_equals_composition_at_high_degree(self):
+        params = GegenbauerParams(Fraction(17, 7), 120)
+        assert table_via_recurrence(params).polys == table_via_composition(params).polys
+
+    @pytest.mark.parametrize("lam", [0.75, 2.5, 7.0])
+    def test_float_is_bit_identical_to_generic_loop(self, lam):
+        tbl = table_via_recurrence(GegenbauerParams(lam, 60))
+        want = generic_float_recurrence(lam, 60)
+        assert [[c.hex() for c in p.coeffs] for p in tbl.polys] == [
+            [c.hex() for c in row] for row in want
+        ]
 
 
 class TestRouteAgreement:

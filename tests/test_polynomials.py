@@ -7,6 +7,8 @@ import pytest
 from gegenkit.fields import EXACT, FLOAT64, FieldMismatchError
 from gegenkit.polynomials import POLY_EXACT, Polynomial
 
+from oracles import full_convolution
+
 
 class TestConstruction:
     def test_trailing_zeros_stripped(self):
@@ -63,6 +65,29 @@ class TestArithmetic:
         # float arguments coerce exactly into the exact field
         assert p.evaluate(0.5) == Fraction(-1, 8)
         assert isinstance(p.evaluate(0.5), Fraction)
+
+
+class TestZeroSkipping:
+    """+, * and scale skip zero coefficients; exact results equal the dense loops."""
+
+    A = [Fraction(1, 3), 0, 0, Fraction(-2, 5), 0, Fraction(7)]
+    B = [0, Fraction(3, 2), 0, 0, Fraction(-1, 7)]
+    C = [Fraction(-1, 3), 0, Fraction(5), Fraction(2, 5), 0, Fraction(-7)]
+
+    @pytest.mark.parametrize("x, y", [(A, B), (B, A), (A, C), (B, B), (C, [0])])
+    def test_add_and_sub_match_dense(self, x, y):
+        pad = max(len(x), len(y))
+        xs, ys = x + [0] * (pad - len(x)), y + [0] * (pad - len(y))
+        assert Polynomial(x) + Polynomial(y) == Polynomial([a + b for a, b in zip(xs, ys)])
+        assert Polynomial(x) - Polynomial(y) == Polynomial([a - b for a, b in zip(xs, ys)])
+
+    @pytest.mark.parametrize("x, y", [(A, B), (B, A), (A, C), (B, [0])])
+    def test_mul_matches_dense(self, x, y):
+        assert Polynomial(x) * Polynomial(y) == Polynomial(full_convolution(x, y))
+
+    @pytest.mark.parametrize("s", [Fraction(-3, 4), 0])
+    def test_scale_matches_dense(self, s):
+        assert Polynomial(self.A).scale(s) == Polynomial([c * s for c in self.A])
 
 
 class TestDerivative:
