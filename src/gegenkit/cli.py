@@ -38,6 +38,9 @@ from .identity import sweep
 
 __all__ = ["cli", "main"]
 
+M_MAX_LIMIT = 10_000
+"""Largest `verify --m-max`: an exact sweep holds rows of m_max + 1 big integers."""
+
 
 def _parse_literals(literals: list[str], mode_flag: str | None) -> list:
     """Infer the mode from the literals (or check it against --mode) and parse them in it."""
@@ -194,7 +197,8 @@ def at_one(lam_text, degree, mode, fmt):
 
 @cli.command()
 @click.option("--lambda-list", "lam_list", required=True, help="Comma-separated lambda values.")
-@click.option("--m-max", type=int, required=True)
+@click.option("--m-max", type=int, required=True,
+              help=f"Largest m to check, at most {M_MAX_LIMIT}.")
 @click.option("--mode", type=click.Choice(["exact", "float"]), default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]), default="text")
 @click.option("--tolerance", type=float, default=1e-10, show_default=True,
@@ -202,6 +206,8 @@ def at_one(lam_text, degree, mode, fmt):
 @_usage_errors
 def verify(lam_list, m_max, mode, fmt, tolerance):
     """Check the convolution identity on the (lambda, m) grid; exit 1 on any failure."""
+    if m_max > M_MAX_LIMIT:
+        raise ValueError(f"--m-max must be at most {M_MAX_LIMIT}")
     texts = [s for s in lam_list.split(",") if s.strip()]
     if not texts:
         raise ValueError("empty lambda list")

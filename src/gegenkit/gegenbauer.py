@@ -147,7 +147,7 @@ def table_via_recurrence(params: GegenbauerParams) -> GegenbauerTable:
             for j in range(m % 2, m + 1, 2):
                 row[j] = a * shifted[j] - b * padded[j]
             scale *= m * q
-            polys.append(Polynomial([Fraction(c, scale) if c else f.zero for c in row]))
+            polys.append(Polynomial._of([Fraction(c, scale) if c else f.zero for c in row], f))
         return GegenbauerTable(params, tuple(polys), Route.RECURRENCE)
     lam = float(params.lam)
     if n >= 1:
@@ -158,7 +158,7 @@ def table_via_recurrence(params: GegenbauerParams) -> GegenbauerTable:
         coeffs = [f.zero] + [a * c for c in polys[m - 1].coeffs]
         for j, c in enumerate(polys[m - 2].coeffs):
             coeffs[j] = coeffs[j] - b * c
-        polys.append(Polynomial(coeffs, f))
+        polys.append(Polynomial._of(coeffs, f))
     return GegenbauerTable(params, tuple(polys), Route.RECURRENCE)
 
 
@@ -176,7 +176,8 @@ def value_via_conjugate_product(lam, phi: float, m: int, imag_tolerance: float =
 
     The sum is mathematically real; the imaginary residue is recorded and the
     result is flagged when |imag| exceeds imag_tolerance * (1 + |real|),
-    which signals a numerical defect rather than a math error.
+    which signals a numerical defect rather than a math error.  A sum that
+    overflows to inf or nan raises OverflowError.
     """
     check_lambda(lam)
     prefix = gamma_ratios(float(lam), m)
@@ -185,6 +186,8 @@ def value_via_conjugate_product(lam, phi: float, m: int, imag_tolerance: float =
     for k in range(m + 1):
         phase = cmath.exp(1j * ((2 * k - m) * phi))
         total += prefix[k] * prefix[m - k] * phase
+    if not cmath.isfinite(total):
+        raise OverflowError("conjugate-product sum is not finite")
     residue = abs(total.imag)
     ok = residue <= imag_tolerance * (1.0 + abs(total.real))
     return ConjugateValue(total.real, residue, ok)

@@ -20,7 +20,16 @@ class Polynomial:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, coeffs=(), field: CoefficientField = EXACT):
-        items = [field.coerce(c) for c in coeffs]
+        self._settle([field.coerce(c) for c in coeffs], field)
+
+    @classmethod
+    def _of(cls, items: list, field: CoefficientField) -> "Polynomial":
+        """A polynomial over items already in `field`: no coercion, zeros still stripped."""
+        poly = cls.__new__(cls)
+        poly._settle(items, field)
+        return poly
+
+    def _settle(self, items: list, field: CoefficientField) -> None:
         while len(items) > 1 and items[-1] == field.zero:
             items.pop()
         if not items:
@@ -61,10 +70,10 @@ class Polynomial:
         for j, b in enumerate(shorter):
             if b:
                 out[j] = out[j] + b
-        return Polynomial(out, self.field)
+        return Polynomial._of(out, self.field)
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs], self.field)
+        return Polynomial._of([-c for c in self.coeffs], self.field)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -83,13 +92,13 @@ class Polynomial:
                 continue
             for j, b in nonzero:
                 out[i + j] = out[i + j] + a * b
-        return Polynomial(out, f)
+        return Polynomial._of(out, f)
 
     __rmul__ = __mul__
 
     def scale(self, scalar) -> "Polynomial":
         s = self.field.coerce(scalar)
-        return Polynomial([c * s if c else c for c in self.coeffs], self.field)
+        return Polynomial._of([c * s if c else c for c in self.coeffs], self.field)
 
     def evaluate(self, t):
         """Horner evaluation in this polynomial's own field (exact over Fraction)."""
@@ -100,9 +109,7 @@ class Polynomial:
         return acc
 
     def derivative(self) -> "Polynomial":
-        f = self.field
-        out = [f.coerce(j) * self.coeffs[j] for j in range(1, len(self.coeffs))]
-        return Polynomial(out or [f.zero], f)
+        return Polynomial._of([j * c for j, c in enumerate(self.coeffs) if j], self.field)
 
     def __eq__(self, other):
         return (

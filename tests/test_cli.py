@@ -9,7 +9,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from gegenkit.cli import cli
+from gegenkit.cli import M_MAX_LIMIT, cli
 
 
 @pytest.fixture()
@@ -138,6 +138,20 @@ class TestVerify:
     def test_summary_goes_to_stderr(self, runner):
         res = invoke(runner, "verify", "--lambda-list", "1", "--m-max", "3")
         assert "verify: 4/4 checks passed" in res.stderr
+
+    def test_m_max_above_limit_is_usage_error(self, runner):
+        res = invoke(runner, "verify", "--lambda-list", "1", "--m-max", str(M_MAX_LIMIT + 1))
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"--m-max must be at most {M_MAX_LIMIT}" in res.stderr
+
+    def test_huge_m_max_exits_before_any_work(self):
+        # the limit is checked before any row of m_max + 1 big integers is built
+        cmd = [sys.executable, "-m", "gegenkit.cli", "verify", "--lambda-list", "1",
+               "--m-max", "100000000"]
+        res = subprocess.run(cmd, capture_output=True, timeout=30)
+        assert res.returncode == 2
+        assert res.stdout == b""
 
 
 class TestDerivCheck:

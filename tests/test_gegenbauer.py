@@ -318,6 +318,11 @@ class TestConjugateProduct:
         with pytest.raises(ValueError):
             value_via_conjugate_product(1.0, 1.0, -3)
 
+    def test_non_finite_sum_raises_overflow(self):
+        # (300)_k / k! overflows to inf at k = 1022, and the sum then holds inf - inf
+        with pytest.raises(OverflowError):
+            value_via_conjugate_product(300.0, 0.1, 2000)
+
     def test_agreement_with_exact_evaluation(self):
         for lam in LAMBDAS:
             tbl = table_via_composition(GegenbauerParams(lam, 12))

@@ -109,6 +109,37 @@ class TestSweep:
             sweep([Fraction(1), Fraction(0)], 3)
 
 
+class TestSweepKernel:
+    """sweep builds each lam's running products once and steps its binomial row
+    by Pascal's rule; every report must equal the per-(lam, m) verify."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(positive_rationals, st.integers(min_value=0, max_value=60))
+    @example(3, 60)
+    # even denominators: 2 lam = 2p/q reduces
+    @example(Fraction(1, 4), 60)
+    @example(Fraction(5, 2), 59)
+    # three-digit denominators
+    @example(Fraction(355, 113), 60)
+    @example(Fraction(999, 998), 47)
+    @example(Fraction(7, 3), 0)
+    @example(Fraction(7, 3), 1)
+    def test_exact_equals_verify(self, lam, m_max):
+        reports = sweep([lam], m_max)
+        assert reports == [verify(lam, m) for m in range(m_max + 1)]
+        assert all(r.exact_equal for r in reports)
+        assert all(type(v) is Fraction for r in reports for v in (r.lam, r.lhs, r.rhs))
+
+    def test_float_bits_equal_verify(self):
+        lambdas = (0.5, 2.5, 7.3)
+
+        def bits(r):
+            return r.lam, r.m, r.lhs.hex(), r.rhs.hex(), r.residual.hex()
+
+        want = [bits(verify(lam, m)) for lam in lambdas for m in range(151)]
+        assert [bits(r) for r in sweep(lambdas, 150)] == want
+
+
 class TestSummandStructure:
     @settings(max_examples=100, deadline=None)
     @given(positive_rationals, st.integers(min_value=0, max_value=60))
