@@ -10,7 +10,7 @@ and verifies the rising-factorial convolution identity
 exactly over the rationals and to tolerance over floats.
 """
 
-from .coefficients import gamma_ratio_coefficient, gamma_ratios, pochhammer, signed_binomial
+from .coefficients import gamma_ratio_coefficient, gamma_ratios, signed_binomial
 from .fields import (
     EXACT,
     FLOAT64,
@@ -53,7 +53,6 @@ __all__ = [
     "format_exact",
     "format_float",
     "format_scalar",
-    "pochhammer",
     "gamma_ratios",
     "gamma_ratio_coefficient",
     "signed_binomial",

@@ -39,7 +39,17 @@ from .identity import sweep
 __all__ = ["cli", "main"]
 
 M_MAX_LIMIT = 10_000
-"""Largest `verify --m-max`: an exact sweep holds rows of m_max + 1 big integers."""
+"""Largest `verify --m-max` and `at-one --degree`: both keep O(m) big integers per lambda."""
+ORDER_LIMIT = 1_000
+"""Largest `table --order`, `eval --degree` and `deriv-check --order`: a table of O(N^2) entries."""
+
+
+def _check_bounds(flag: str, value: int, limit: int, tolerance: float | None = None) -> None:
+    """Reject, before any work, `flag` above `limit` or a tolerance that is nan, inf or negative."""
+    if value > limit:
+        raise ValueError(f"{flag} must be at most {limit}")
+    if tolerance is not None and not 0.0 <= tolerance < math.inf:
+        raise ValueError("--tolerance must be finite and nonnegative")
 
 
 def _parse_literals(literals: list[str], mode_flag: str | None) -> list:
@@ -130,7 +140,8 @@ def cli():
 
 @cli.command()
 @click.option("--lambda", "lam_text", required=True, help="Order parameter, > 0 ('p/q' or decimal).")
-@click.option("--order", type=int, required=True, help="Largest degree N to tabulate.")
+@click.option("--order", type=int, required=True,
+              help=f"Largest degree N to tabulate, at most {ORDER_LIMIT}.")
 @click.option(
     "--route",
     type=click.Choice(["composition", "recurrence"]),
@@ -142,6 +153,7 @@ def cli():
 @_usage_errors
 def table(lam_text, order, route, mode, fmt):
     """Print one row per degree m with the coefficients of C_m, lowest power first."""
+    _check_bounds("--order", order, ORDER_LIMIT)
     (lam,) = _parse_literals([lam_text], mode)
     params = GegenbauerParams(lam, order)
     build = table_via_composition if route == "composition" else table_via_recurrence
@@ -159,13 +171,14 @@ def table(lam_text, order, route, mode, fmt):
 
 @cli.command("eval")
 @click.option("--lambda", "lam_text", required=True)
-@click.option("--degree", type=int, required=True)
+@click.option("--degree", type=int, required=True, help=f"Degree m, at most {ORDER_LIMIT}.")
 @click.option("--t", "t_text", required=True, help="Evaluation point (any magnitude).")
 @click.option("--mode", type=click.Choice(["exact", "float"]), default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]), default="text")
 @_usage_errors
 def eval_cmd(lam_text, degree, t_text, mode, fmt):
     """Evaluate C_degree at t (recurrence route, exact Horner in exact mode)."""
+    _check_bounds("--degree", degree, ORDER_LIMIT)
     lam, t = _parse_literals([lam_text, t_text], mode)
     tbl = table_via_recurrence(GegenbauerParams(lam, degree))
     value = tbl.evaluate(degree, t)
@@ -178,12 +191,13 @@ def eval_cmd(lam_text, degree, t_text, mode, fmt):
 
 @cli.command("at-one")
 @click.option("--lambda", "lam_text", required=True)
-@click.option("--degree", type=int, required=True)
+@click.option("--degree", type=int, required=True, help=f"Degree m, at most {M_MAX_LIMIT}.")
 @click.option("--mode", type=click.Choice(["exact", "float"]), default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]), default="text")
 @_usage_errors
 def at_one(lam_text, degree, mode, fmt):
     """C_degree(1) by the closed form (2 lambda)_degree / degree!."""
+    _check_bounds("--degree", degree, M_MAX_LIMIT)
     (lam,) = _parse_literals([lam_text], mode)
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -202,12 +216,11 @@ def at_one(lam_text, degree, mode, fmt):
 @click.option("--mode", type=click.Choice(["exact", "float"]), default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]), default="text")
 @click.option("--tolerance", type=float, default=1e-10, show_default=True,
-              help="Float-mode residual bound.")
+              help="Float-mode residual bound, finite and >= 0.")
 @_usage_errors
 def verify(lam_list, m_max, mode, fmt, tolerance):
     """Check the convolution identity on the (lambda, m) grid; exit 1 on any failure."""
-    if m_max > M_MAX_LIMIT:
-        raise ValueError(f"--m-max must be at most {M_MAX_LIMIT}")
+    _check_bounds("--m-max", m_max, M_MAX_LIMIT, tolerance)
     texts = [s for s in lam_list.split(",") if s.strip()]
     if not texts:
         raise ValueError("empty lambda list")
@@ -243,8 +256,10 @@ def verify(lam_list, m_max, mode, fmt, tolerance):
 @click.option("--lambda", "lam_text", required=True)
 @click.option("--t", "t_text", required=True)
 @click.option("--r", "r_text", required=True)
-@click.option("--order", type=int, required=True)
-@click.option("--tolerance", type=float, default=1e-10, show_default=True)
+@click.option("--order", type=int, required=True,
+              help=f"Truncation order N, at most {ORDER_LIMIT}.")
+@click.option("--tolerance", type=float, default=1e-10, show_default=True,
+              help="Residual bound, finite and >= 0.")
 @click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]), default="text")
 @_usage_errors
 def deriv_check(lam_text, t_text, r_text, order, tolerance, fmt):
@@ -253,6 +268,7 @@ def deriv_check(lam_text, t_text, r_text, order, tolerance, fmt):
     Computes in float regardless of literal form (exact literals convert
     exactly).  Exit 1 when |A - B| exceeds the tolerance.
     """
+    _check_bounds("--order", order, ORDER_LIMIT, tolerance)
     lam, t, r = _parse_literals([lam_text, t_text, r_text], "float")
     rep = derivative_interchange_check(lam, t, r, order)
     _finite(rep.closed_form, rep.partial_sum, rep.residual, rep.tail_budget)

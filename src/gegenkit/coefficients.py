@@ -1,12 +1,13 @@
-"""Rising-factorial products and the Gamma-ratio coefficients built from them.
+"""Gamma-ratio coefficients (x)_m / m! and the argument checks every layer shares.
 
 The Gamma function is never evaluated on its own here: every Gamma expression
 used downstream is a ratio with an integer offset, which collapses to a finite
 product.  That keeps values exact over the rationals and overflow-free over
 floats.
 
-All functions are generic over the scalar type: pass a ``Fraction`` (or int)
-for exact results, a ``float`` for double precision.
+An exact x = p/q (a Fraction or int) runs in integers: (x)_m / m! is the
+product P_m = prod_{j<m} (p + j q) over q^m m!, reduced once (DLMF 5.2(iii)).
+A float x runs the running product of (x+k)/(k+1) in `gamma_ratios`.
 """
 
 from __future__ import annotations
@@ -16,47 +17,46 @@ from fractions import Fraction
 
 __all__ = [
     "check_lambda",
-    "pochhammer",
     "gamma_ratios",
     "gamma_ratio_coefficient",
     "signed_binomial",
 ]
 
 
-def _check_index(m: int) -> None:
+def _check_index(m, name: str = "index") -> None:
     if not isinstance(m, int) or m < 0:
-        raise ValueError(f"index must be a nonnegative integer, got {m!r}")
+        raise ValueError(f"{name} must be a nonnegative integer")
 
 
-def check_lambda(lam) -> None:
-    """Reject an order parameter that is not a positive rational or finite float."""
+def check_lambda(lam):
+    """Return lam, an int taken as Fraction; only positive rationals and finite floats pass."""
     if isinstance(lam, float):
         if not math.isfinite(lam):
             raise ValueError("lambda must be finite")
         if lam <= 0.0:
             raise ValueError("lambda must be positive")
-    elif isinstance(lam, (int, Fraction)):
-        if lam <= 0:
-            raise ValueError("lambda must be positive")
-    else:
+        return lam
+    if not isinstance(lam, (int, Fraction)):
         raise TypeError(f"lambda must be a Fraction or float, got {type(lam).__name__}")
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    return Fraction(lam)
 
 
-def pochhammer(x, m: int):
-    """Rising factorial (x)_m = x (x+1) ... (x+m-1); the empty product is 1."""
+def _rising_products(a: int, q: int, m: int) -> list[int]:
+    """[prod_{j<k} (a + j q) for k = 0..m], that is q^k (a/q)_k in integers."""
     _check_index(m)
-    result = x ** 0
+    out = [1]
     for j in range(m):
-        result = result * (x + j)
-    return result
+        out.append(out[-1] * (a + j * q))
+    return out
 
 
 def gamma_ratios(x, m: int) -> list:
     """[(x)_k / k! for k = 0..m], as the running product of (x+k)/(k+1).
 
     The incremental form keeps float evaluation overflow-free for any x
-    where the values fit; over the rationals each entry equals
-    pochhammer(x, k) / k! exactly.  An int x is taken as Fraction(x).
+    where the values fit.  An int x is taken as Fraction(x).
     """
     _check_index(m)
     if isinstance(x, int):
@@ -69,9 +69,13 @@ def gamma_ratios(x, m: int) -> list:
     return out
 
 
-def gamma_ratio_coefficient(lam, m: int):
-    """(lam)_m / m!, the last entry of gamma_ratios(lam, m)."""
-    return gamma_ratios(lam, m)[m]
+def gamma_ratio_coefficient(x, m: int):
+    """(x)_m / m!: exact x = p/q gives P_m / (q^m m!); a float x gives gamma_ratios(x, m)[m]."""
+    if isinstance(x, float):
+        return gamma_ratios(x, m)[m]
+    x = Fraction(x)
+    q = x.denominator
+    return Fraction(_rising_products(x.numerator, q, m)[m], q**m * math.factorial(m))
 
 
 def signed_binomial(lam, m: int):

@@ -80,8 +80,6 @@ class ExactRationalField(CoefficientField):
             if not math.isfinite(value):
                 raise ValueError(f"cannot coerce non-finite float {value!r} to a rational")
             return Fraction(value)
-        if isinstance(value, str):
-            return parse_exact(value)
         raise TypeError(f"cannot coerce {type(value).__name__} into the exact field")
 
 
@@ -97,8 +95,6 @@ class Float64Field(CoefficientField):
             return value
         if isinstance(value, (int, Fraction)):
             return float(value)
-        if isinstance(value, str):
-            return float(_normalize_literal(value))
         raise TypeError(f"cannot coerce {type(value).__name__} into the float64 field")
 
 

@@ -26,7 +26,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coefficients import check_lambda, gamma_ratio_coefficient, gamma_ratios, signed_binomial
+from .coefficients import (_check_index, check_lambda, gamma_ratio_coefficient, gamma_ratios,
+                           signed_binomial)
 from .fields import EXACT, FLOAT64, CoefficientField
 from .polynomials import POLY_EXACT, Polynomial
 from .series import TruncatedSeries, compose_inner_polynomial
@@ -48,7 +49,6 @@ __all__ = [
 
 class Route(enum.Enum):
     COMPOSITION = "composition"
-    CONJUGATE_PRODUCT = "conjugate_product"
     RECURRENCE = "recurrence"
 
 
@@ -64,13 +64,8 @@ class GegenbauerParams:
     order: int
 
     def __post_init__(self):
-        lam = self.lam
-        if isinstance(lam, int):
-            lam = Fraction(lam)
-            object.__setattr__(self, "lam", lam)
-        check_lambda(lam)
-        if not isinstance(self.order, int) or self.order < 0:
-            raise ValueError("order must be a nonnegative integer")
+        object.__setattr__(self, "lam", check_lambda(self.lam))
+        _check_index(self.order, "order")
 
     @property
     def field(self) -> CoefficientField:
@@ -85,27 +80,11 @@ class GegenbauerTable:
     polys: tuple
     route: Route
 
-    @property
-    def order(self) -> int:
-        return self.params.order
-
     def evaluate(self, m: int, t):
         """Horner evaluation of C_m at t in the table's own field (exact stays exact)."""
-        if not 0 <= m <= self.order:
-            raise ValueError(f"degree {m} outside table range 0..{self.order}")
+        if not 0 <= m <= self.params.order:
+            raise ValueError(f"degree {m} outside table range 0..{self.params.order}")
         return self.polys[m].evaluate(t)
-
-    def generating_sum(self, t, r):
-        """Partial sum of C_m(t) r^m for m = 0..order, accumulated left to right."""
-        f = self.params.field
-        tt = f.coerce(t)
-        rr = f.coerce(r)
-        acc = f.zero
-        power = f.one
-        for p in self.polys:
-            acc = acc + p.evaluate(tt) * power
-            power = power * rr
-        return acc
 
 
 def table_via_composition(params: GegenbauerParams) -> GegenbauerTable:
@@ -195,8 +174,7 @@ def value_via_conjugate_product(lam, phi: float, m: int, imag_tolerance: float =
 
 def value_at_one(lam, m: int):
     """C_m(1) = (2 lam)_m / m!, the coefficient-comparison closed form at t = 1."""
-    check_lambda(lam)
-    return gamma_ratio_coefficient(2 * lam, m)
+    return gamma_ratio_coefficient(2 * check_lambda(lam), m)
 
 
 def majorant_tail(lam, order: int, r):
@@ -211,22 +189,16 @@ def majorant_tail(lam, order: int, r):
     closed form is then rational); otherwise computes in float, where tiny
     negative rounding residue is clamped to zero.
     """
-    check_lambda(lam)
-    if not isinstance(order, int) or order < 0:
-        raise ValueError("order must be a nonnegative integer")
-    if isinstance(r, float):
-        if not 0.0 < r < 1.0:
-            raise ValueError("r must lie strictly between 0 and 1")
-    elif isinstance(r, (int, Fraction)):
-        if not 0 < r < 1:
-            raise ValueError("r must lie strictly between 0 and 1")
-    else:
+    lam = check_lambda(lam)
+    _check_index(order, "order")
+    if not isinstance(r, (int, Fraction, float)):
         raise TypeError(f"r must be a Fraction or float, got {type(r).__name__}")
+    if not 0 < r < 1:
+        raise ValueError("r must lie strictly between 0 and 1")
 
-    exact = (isinstance(lam, (int, Fraction)) and isinstance(r, (int, Fraction))
-             and Fraction(2 * lam).denominator == 1)
+    exact = isinstance(lam, Fraction) and not isinstance(r, float) and (2 * lam).denominator == 1
     if exact:
-        two_lam, rr = Fraction(2 * lam), Fraction(r)
+        two_lam, rr = 2 * lam, Fraction(r)
         closed = 1 / (1 - rr) ** int(two_lam)
     else:
         two_lam, rr = 2.0 * float(lam), float(r)
@@ -272,8 +244,7 @@ def derivative_interchange_check(lam, t, r, order: int) -> DerivativeInterchange
     lam_f = float(lam)
     t_f = float(t)
     r_f = float(r)
-    if not isinstance(order, int) or order < 0:
-        raise ValueError("order must be a nonnegative integer")
+    _check_index(order, "order")
     if not -1.0 <= t_f <= 1.0:
         raise ValueError("t must lie in [-1, 1]")
     if not 0.0 <= r_f < 1.0:

@@ -13,7 +13,9 @@ Exact mode runs in integers: with lam = p/q, multiplying by q^m m! turns the
 identity into sum_k C(m, k) P_k P_{m-k} == Q_m, where P_k = prod_{j<k} (p + j q)
 and Q_m = prod_{j<m} (2p + j q) (DLMF 5.2(iii)).  The summand is symmetric
 under k <-> m-k, so only the terms k < m/2 are formed, doubled, plus the middle
-term when m is even.  Float mode sums gamma_ratios left to right.
+term when m is even.  The right side is coefficients.gamma_ratio_coefficient
+at 2 lam, the same C_m(1) that gegenbauer.value_at_one returns.  Float mode
+sums gamma_ratios left to right.
 
 `sweep` takes each lam once: it builds P, Q (or, in float mode, the
 gamma_ratios prefixes of lam and 2 lam) up to m_max, and steps the binomial row
@@ -28,7 +30,8 @@ from fractions import Fraction
 from math import comb, factorial
 from operator import add
 
-from .coefficients import _check_index, check_lambda, gamma_ratio_coefficient, gamma_ratios
+from .coefficients import (_check_index, _rising_products, check_lambda,
+                           gamma_ratio_coefficient, gamma_ratios)
 
 __all__ = ["IdentityReport", "identity_lhs", "identity_rhs", "verify", "sweep"]
 
@@ -49,15 +52,6 @@ class IdentityReport:
         if self.exact_equal is not None:
             return self.exact_equal
         return self.residual <= tolerance
-
-
-def _rising_products(a: int, q: int, m: int) -> list[int]:
-    """[prod_{j<k} (a + j q) for k = 0..m], that is q^k (a/q)_k in integers."""
-    _check_index(m)
-    out = [1]
-    for j in range(m):
-        out.append(out[-1] * (a + j * q))
-    return out
 
 
 def _half_convolution(row, P: list[int], m: int) -> int:
@@ -83,7 +77,7 @@ def identity_lhs(lam, m: int):
     reduced once.  Float: the gamma_ratios factors summed left to right, so
     values match per-call gamma_ratio_coefficient evaluation bit for bit.
     """
-    check_lambda(lam)
+    lam = check_lambda(lam)
     if isinstance(lam, float):
         return _float_convolution(gamma_ratios(lam, m), m)
     q = lam.denominator
@@ -94,11 +88,7 @@ def identity_lhs(lam, m: int):
 
 def identity_rhs(lam, m: int):
     """(2 lam)_m / m!, the t = 1 coefficient; exact lam = p/q gives Q_m / (q^m m!)."""
-    check_lambda(lam)
-    if isinstance(lam, float):
-        return gamma_ratio_coefficient(2 * lam, m)
-    q = lam.denominator
-    return Fraction(_rising_products(2 * lam.numerator, q, m)[m], q**m * factorial(m))
+    return gamma_ratio_coefficient(2 * check_lambda(lam), m)
 
 
 def _report(lam, m: int, lhs, rhs) -> IdentityReport:
@@ -113,16 +103,13 @@ def verify(lam, m: int) -> IdentityReport:
     In exact mode a False flag would be an implementation defect: the
     identity holds for every lam > 0.
     """
-    if isinstance(lam, int):
-        lam = Fraction(lam)
+    lam = check_lambda(lam)
     return _report(lam, m, identity_lhs(lam, m), identity_rhs(lam, m))
 
 
 def _lambda_reports(lam, m_max: int) -> list[IdentityReport]:
     """verify(lam, m) for m = 0..m_max, with each side's running products built once."""
-    if isinstance(lam, int):
-        lam = Fraction(lam)
-    check_lambda(lam)
+    lam = check_lambda(lam)
     if isinstance(lam, float):
         a, b = gamma_ratios(lam, m_max), gamma_ratios(2 * lam, m_max)
         return [_report(lam, m, _float_convolution(a, m), b[m]) for m in range(m_max + 1)]
@@ -144,6 +131,5 @@ def sweep(lambdas, m_max: int) -> list[IdentityReport]:
     Items are independent; the order of the output never depends on how the
     work is scheduled.
     """
-    if not isinstance(m_max, int) or m_max < 0:
-        raise ValueError("m_max must be a nonnegative integer")
+    _check_index(m_max, "m_max")
     return [rep for lam in lambdas for rep in _lambda_reports(lam, m_max)]

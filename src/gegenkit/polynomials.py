@@ -37,21 +37,9 @@ class Polynomial:
         self.field = field
         self.coeffs = tuple(items)
 
-    @classmethod
-    def constant(cls, value, field: CoefficientField = EXACT) -> "Polynomial":
-        return cls([field.coerce(value)], field)
-
-    @classmethod
-    def variable(cls, field: CoefficientField = EXACT) -> "Polynomial":
-        return cls([field.zero, field.one], field)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == (self.field.zero,)
 
     def _require_same_field(self, other: "Polynomial") -> None:
         if self.field is not other.field:
@@ -117,9 +105,6 @@ class Polynomial:
             and self.field is other.field
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.field.name, self.coeffs))
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"

@@ -33,10 +33,6 @@ class TruncatedSeries:
         self.coeffs = items
 
     @classmethod
-    def zero(cls, field: CoefficientField, order: int) -> "TruncatedSeries":
-        return cls([field.zero] * (order + 1), field)
-
-    @classmethod
     def one(cls, field: CoefficientField, order: int) -> "TruncatedSeries":
         return cls([field.one] + [field.zero] * order, field)
 
@@ -44,21 +40,12 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __add__(self, other):
-        return series_add(self, other)
-
-    def __mul__(self, other):
-        return series_mul(self, other)
-
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedSeries)
             and self.field is other.field
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.field.name, self.coeffs))
 
     def __repr__(self):
         return f"TruncatedSeries({list(self.coeffs)!r}, field={self.field.name})"

@@ -9,6 +9,16 @@ from fractions import Fraction
 import math
 
 
+def pochhammer(x, m: int):
+    """Rising factorial (x)_m = x (x+1) ... (x+m-1) as the literal product; (x)_0 = 1."""
+    if not isinstance(m, int) or m < 0:
+        raise ValueError(f"m must be a nonnegative integer, got {m!r}")
+    out = x ** 0
+    for j in range(m):
+        out = out * (x + j)
+    return out
+
+
 def falling_binomial(exponent: Fraction, m: int) -> Fraction:
     """C(exponent, m) as the literal falling-factorial product."""
     out = Fraction(1)

@@ -9,7 +9,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from gegenkit.cli import M_MAX_LIMIT, cli
+from gegenkit.cli import M_MAX_LIMIT, ORDER_LIMIT, cli
 
 
 @pytest.fixture()
@@ -199,6 +199,54 @@ class TestDerivCheck:
                      "--order", "40", "--format", "json")
         recs = parse_jsonl(res.stdout)
         assert [r["check"] for r in recs] == ["deriv-check", "deriv-check-budget"]
+
+
+def _ceiling_cases(order, degree):
+    """Every command with a ceiling: `order` goes to the O(N^2) tables, `degree` to at-one."""
+    return [
+        ["table", "--lambda", "1", "--order", str(order)],
+        ["eval", "--lambda", "1.0", "--degree", str(order), "--t", "0.5"],
+        ["deriv-check", "--lambda", "1", "--t", "0.5", "--r", "0.1", "--order", str(order)],
+        ["at-one", "--lambda", "1", "--degree", str(degree)],
+    ]
+
+
+class TestLimits:
+    @pytest.mark.parametrize("args", _ceiling_cases(ORDER_LIMIT + 1, M_MAX_LIMIT + 1),
+                             ids=lambda a: a[0])
+    def test_above_limit_is_usage_error(self, runner, args):
+        res = invoke(runner, *args)
+        limit = M_MAX_LIMIT if args[0] == "at-one" else ORDER_LIMIT
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"must be at most {limit}" in res.stderr
+
+    @pytest.mark.parametrize("args", _ceiling_cases(10**8, 10**8), ids=lambda a: a[0])
+    def test_huge_value_exits_before_any_work(self, args):
+        # the ceiling is checked before any table or product is built
+        res = subprocess.run([sys.executable, "-m", "gegenkit.cli", *args],
+                             capture_output=True, timeout=30)
+        assert res.returncode == 2
+        assert res.stdout == b""
+
+    def test_limits_themselves_are_accepted(self, runner):
+        res = invoke(runner, "at-one", "--lambda", "1/2", "--degree", str(M_MAX_LIMIT))
+        assert (res.exit_code, res.stdout) == (0, "1/1\n")
+        res = invoke(runner, "deriv-check", "--lambda", "1", "--t", "0.5", "--r", "0",
+                     "--order", str(ORDER_LIMIT))
+        assert res.exit_code == 0
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("args", [
+        ["verify", "--lambda-list", "0.5", "--m-max", "2"],
+        ["verify", "--lambda-list", "1/2", "--m-max", "2"],
+        ["deriv-check", "--lambda", "1", "--t", "0.5", "--r", "0.1", "--order", "10"],
+    ], ids=["verify-float", "verify-exact", "deriv-check"])
+    def test_bad_tolerance_is_usage_error(self, runner, args, tolerance):
+        res = invoke(runner, *args, "--tolerance", tolerance)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "--tolerance must be finite and nonnegative" in res.stderr
 
 
 class TestNonFiniteFloat:

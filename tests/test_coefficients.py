@@ -1,4 +1,4 @@
-"""Pochhammer products, Gamma-ratio coefficients, signed binomials."""
+"""Gamma-ratio coefficients and signed binomials, against the Pochhammer oracle."""
 
 import math
 import random
@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from gegenkit.coefficients import (
     gamma_ratio_coefficient,
     gamma_ratios,
-    pochhammer,
     signed_binomial,
 )
 from gegenkit.gegenbauer import value_at_one
 from gegenkit.identity import identity_lhs
 
-from oracles import falling_binomial
+from oracles import falling_binomial, pochhammer
 
 
 class TestPochhammer:

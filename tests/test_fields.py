@@ -62,7 +62,6 @@ class TestCoercion:
     def test_exact_coerce(self):
         assert EXACT.coerce(0.5) == Fraction(1, 2)  # binary float converts exactly
         assert EXACT.coerce(3) == Fraction(3)
-        assert EXACT.coerce("2/3") == Fraction(2, 3)
         with pytest.raises(ValueError):
             EXACT.coerce(float("inf"))
         with pytest.raises(TypeError):

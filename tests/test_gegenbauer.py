@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gegenkit.coefficients import gamma_ratio_coefficient, pochhammer
+from gegenkit.coefficients import gamma_ratio_coefficient
 from gegenkit.fields import EXACT, FLOAT64
 from gegenkit.gegenbauer import (
     GegenbauerParams,
@@ -23,7 +23,7 @@ from gegenkit.gegenbauer import (
 )
 from gegenkit.polynomials import Polynomial
 
-from oracles import chebyshev_u_value, gegenbauer_coeff_lists
+from oracles import chebyshev_u_value, gegenbauer_coeff_lists, pochhammer
 from test_identity import positive_rationals
 
 LAMBDAS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3)]
@@ -380,7 +380,10 @@ class TestMajorantTail:
                     bound = majorant_tail(lam, M, r) + 1e-12
                     for t in (-1.0, -0.4, 0.0, 0.7, 1.0):
                         closed = (1.0 - 2.0 * r * t + r * r) ** (-lam)
-                        partial = tbl.generating_sum(t, r)
+                        partial, power = 0.0, 1.0
+                        for p in tbl.polys:
+                            partial += p.evaluate(t) * power
+                            power *= r
                         assert abs(partial - closed) <= bound
 
 

@@ -19,12 +19,7 @@ class TestConstruction:
     def test_canonical_zero_is_single_entry(self):
         assert Polynomial([]).coeffs == (Fraction(0),)
         assert Polynomial([0, 0, 0]).coeffs == (Fraction(0),)
-        assert Polynomial([]).is_zero
         assert Polynomial([]) == Polynomial([0])
-
-    def test_helpers(self):
-        assert Polynomial.constant(5).coeffs == (Fraction(5),)
-        assert Polynomial.variable().coeffs == (Fraction(0), Fraction(1))
 
     def test_float_field(self):
         p = Polynomial([1, 0.5], FLOAT64)
@@ -47,7 +42,7 @@ class TestArithmetic:
     def test_mul(self):
         p = Polynomial([1, 1])
         assert (p * p).coeffs == (Fraction(1), Fraction(2), Fraction(1))
-        assert (p * Polynomial([0])).is_zero
+        assert p * Polynomial([0]) == Polynomial([0])
 
     def test_scalar_mul(self):
         p = Polynomial([1, -2])
@@ -93,7 +88,7 @@ class TestZeroSkipping:
 class TestDerivative:
     def test_examples(self):
         assert Polynomial([-1, 0, 4]).derivative().coeffs == (Fraction(0), Fraction(8))
-        assert Polynomial([17]).derivative().is_zero
+        assert Polynomial([17]).derivative() == Polynomial([0])
         half = Polynomial([Fraction(-1, 2), 0, Fraction(3, 2)])
         assert half.derivative() == Polynomial([0, 3])
 
@@ -118,7 +113,7 @@ class TestPolynomialCoefficients:
 
     def test_ring_ops_via_field_interface(self):
         f = POLY_EXACT
-        t = Polynomial.variable()
+        t = Polynomial([0, 1])
         assert t * t == Polynomial([0, 0, 1])
         assert f.one + (-f.one) == f.zero
         assert Polynomial([0]) == f.zero
