@@ -35,6 +35,7 @@ from .gegenbauer import (
     table_via_recurrence,
     value_at_one,
     value_via_conjugate_product,
+    value_via_recurrence,
 )
 from .identity import IdentityReport, identity_lhs, identity_rhs, sweep, verify
 from .polynomials import POLY_EXACT, Polynomial, PolynomialCoefficients
@@ -71,6 +72,7 @@ __all__ = [
     "DerivativeInterchangeReport",
     "table_via_composition",
     "table_via_recurrence",
+    "value_via_recurrence",
     "value_via_conjugate_product",
     "value_at_one",
     "majorant_tail",

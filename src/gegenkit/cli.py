@@ -33,19 +33,22 @@ from .gegenbauer import (
     table_via_composition,
     table_via_recurrence,
     value_at_one,
+    value_via_recurrence,
 )
 from .identity import sweep
 
 __all__ = ["cli", "main"]
 
 M_MAX_LIMIT = 10_000
-"""Largest `verify --m-max` and `at-one --degree`: both keep O(m) big integers per lambda."""
+"""Largest `verify --m-max`, `at-one --degree`, `eval --degree` and `deriv-check --order`: O(m) work."""
 ORDER_LIMIT = 1_000
-"""Largest `table --order`, `eval --degree` and `deriv-check --order`: a table of O(N^2) entries."""
+"""Largest `table --order`: a table of O(N^2) entries."""
 
 
 def _check_bounds(flag: str, value: int, limit: int, tolerance: float | None = None) -> None:
-    """Reject, before any work, `flag` above `limit` or a tolerance that is nan, inf or negative."""
+    """Reject, before any work, `flag` outside 0..`limit` or a tolerance that is nan, inf or negative."""
+    if value < 0:
+        raise ValueError(f"{flag} must be nonnegative")
     if value > limit:
         raise ValueError(f"{flag} must be at most {limit}")
     if tolerance is not None and not 0.0 <= tolerance < math.inf:
@@ -171,17 +174,19 @@ def table(lam_text, order, route, mode, fmt):
 
 @cli.command("eval")
 @click.option("--lambda", "lam_text", required=True)
-@click.option("--degree", type=int, required=True, help=f"Degree m, at most {ORDER_LIMIT}.")
+@click.option("--degree", type=int, required=True, help=f"Degree m, at most {M_MAX_LIMIT}.")
 @click.option("--t", "t_text", required=True, help="Evaluation point (any magnitude).")
 @click.option("--mode", type=click.Choice(["exact", "float"]), default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]), default="text")
 @_usage_errors
 def eval_cmd(lam_text, degree, t_text, mode, fmt):
-    """Evaluate C_degree at t (recurrence route, exact Horner in exact mode)."""
-    _check_bounds("--degree", degree, ORDER_LIMIT)
+    """Evaluate C_degree at t by the three-term recurrence on values at t (no table).
+
+    Float mode runs in floats; exact mode runs in integers and stays exact.
+    """
+    _check_bounds("--degree", degree, M_MAX_LIMIT)
     lam, t = _parse_literals([lam_text, t_text], mode)
-    tbl = table_via_recurrence(GegenbauerParams(lam, degree))
-    value = tbl.evaluate(degree, t)
+    value = value_via_recurrence(lam, degree, t)
     _finite(value)
     if fmt == "text":
         click.echo(_cell(_serialize(value)))
@@ -199,8 +204,6 @@ def at_one(lam_text, degree, mode, fmt):
     """C_degree(1) by the closed form (2 lambda)_degree / degree!."""
     _check_bounds("--degree", degree, M_MAX_LIMIT)
     (lam,) = _parse_literals([lam_text], mode)
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
     value = value_at_one(lam, degree)
     _finite(value)
     if fmt == "text":
@@ -257,7 +260,7 @@ def verify(lam_list, m_max, mode, fmt, tolerance):
 @click.option("--t", "t_text", required=True)
 @click.option("--r", "r_text", required=True)
 @click.option("--order", type=int, required=True,
-              help=f"Truncation order N, at most {ORDER_LIMIT}.")
+              help=f"Truncation order N, at most {M_MAX_LIMIT}.")
 @click.option("--tolerance", type=float, default=1e-10, show_default=True,
               help="Residual bound, finite and >= 0.")
 @click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]), default="text")
@@ -268,7 +271,7 @@ def deriv_check(lam_text, t_text, r_text, order, tolerance, fmt):
     Computes in float regardless of literal form (exact literals convert
     exactly).  Exit 1 when |A - B| exceeds the tolerance.
     """
-    _check_bounds("--order", order, ORDER_LIMIT, tolerance)
+    _check_bounds("--order", order, M_MAX_LIMIT, tolerance)
     lam, t, r = _parse_literals([lam_text, t_text, r_text], "float")
     rep = derivative_interchange_check(lam, t, r, order)
     _finite(rep.closed_form, rep.partial_sum, rep.residual, rep.tail_budget)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 __all__ = [
@@ -139,9 +140,19 @@ def parse_scalar(text: str):
 
 
 def format_exact(value) -> str:
-    """Serialize an exact scalar as 'p/q'; the denominator is always written."""
+    """Serialize an exact scalar as 'p/q'; the denominator is always written.
+
+    CPython caps int-to-decimal conversion (4300 digits by default) to guard
+    parsing against quadratic-time input.  Output of any size is ours to
+    print, so the cap is lifted for this conversion only; parsing keeps it.
+    """
     f = EXACT.coerce(value)
-    return f"{f.numerator}/{f.denominator}"
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def format_float(value: float) -> str:

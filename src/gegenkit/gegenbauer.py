@@ -9,6 +9,10 @@ routes:
   m C_m = 2 t (m + lam - 1) C_{m-1} - (m + 2 lam - 2) C_{m-2};
   works over exact rationals or floats.  Exact mode (lam = p/q) runs in
   integers on q^m m! C_m and reduces each coefficient once.
+  `value_via_recurrence` runs the same recurrence on values at one t, in
+  O(m) steps and with no table (exact t = u/v: in integers, one reduction).
+  Float `eval`, float tables' `evaluate` and the derivative check use it;
+  the derivative comes from d/dt C_m^lam = 2 lam C_{m-1}^{lam+1}.
 * conjugate product -- write t = cos(phi), factor the generating function as
   [(1 - r e^{i phi})(1 - r e^{-i phi})]^(-lam) and convolve the two binomial
   expansions, giving C_m(cos phi) as a finite complex sum whose imaginary
@@ -25,6 +29,8 @@ import cmath
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice
+from math import factorial
 
 from .coefficients import (_check_index, check_lambda, gamma_ratio_coefficient, gamma_ratios,
                            signed_binomial)
@@ -40,6 +46,7 @@ __all__ = [
     "DerivativeInterchangeReport",
     "table_via_composition",
     "table_via_recurrence",
+    "value_via_recurrence",
     "value_via_conjugate_product",
     "value_at_one",
     "majorant_tail",
@@ -81,9 +88,17 @@ class GegenbauerTable:
     route: Route
 
     def evaluate(self, m: int, t):
-        """Horner evaluation of C_m at t in the table's own field (exact stays exact)."""
+        """C_m at t in the table's own field.
+
+        An exact table runs exact Horner over its own polynomials, so a
+        composition table is evaluated apart from the recurrence.  A float
+        table defers to `value_via_recurrence`, which does not cancel the
+        way float Horner over monomials does.
+        """
         if not 0 <= m <= self.params.order:
             raise ValueError(f"degree {m} outside table range 0..{self.params.order}")
+        if self.params.field is FLOAT64:
+            return value_via_recurrence(self.params.lam, m, t)
         return self.polys[m].evaluate(t)
 
 
@@ -104,41 +119,82 @@ def table_via_composition(params: GegenbauerParams) -> GegenbauerTable:
     return GegenbauerTable(params, expansion.coeffs, Route.COMPOSITION)
 
 
+def _parity_rows(first: list, steps):
+    """Coefficient rows of a three-term recurrence: [1], `first`, then for m = 2, 3, ...
+    row_m = a t row_{m-1} - b row_{m-2}, with (a, b) the m-th item of `steps`.
+
+    Row m holds only powers of the parity of m, so only those entries are
+    computed; the others stay the zero of `first`.  Each computed entry is
+    a * row_{m-1}[j-1] - b * row_{m-2}[j], a missing term counting as that zero.
+    """
+    zero = first[0]
+    older, row = [zero + 1], first
+    yield older
+    yield row
+    for m, (a, b) in enumerate(steps, 2):
+        shifted, padded = [zero] + row, older + [zero, zero]
+        older, row = row, [zero] * (m + 1)
+        s = m % 2
+        row[s::2] = [a * x - b * y for x, y in zip(shifted[s::2], padded[s::2])]
+        yield row
+
+
 def table_via_recurrence(params: GegenbauerParams) -> GegenbauerTable:
     """Three-term recurrence in either field; validated elsewhere against composition.
 
     Exact lam = p/q runs in integers on D_m = q^m m! C_m,
     D_m = 2 t ((m-1) q + p) D_{m-1} - (m-1) q ((m-2) q + 2p) D_{m-2},
-    touching only the entries of the parity of m and keeping two integer rows;
-    each nonzero coefficient is reduced once, as D_m[j] / (q^m m!).
+    and reduces each nonzero coefficient once, as D_m[j] / (q^m m!).  Float
+    mode runs m C_m = 2 t (m + lam - 1) C_{m-1} - (m + 2 lam - 2) C_{m-2}.
+    Both touch only the entries of the parity of m.
     """
-    f = params.field
-    n = params.order
-    polys = [Polynomial([f.one], f)]
+    f, n, lam = params.field, params.order, params.lam
     if f is EXACT:
-        p, q = params.lam.numerator, params.lam.denominator
-        older, row, scale = [], [1], 1
-        for m in range(1, n + 1):
-            a = 2 * ((m - 1) * q + p)
-            b = (m - 1) * q * ((m - 2) * q + 2 * p)
-            shifted, padded = [0] + row, older + [0, 0]
-            older, row = row, [0] * (m + 1)
-            for j in range(m % 2, m + 1, 2):
-                row[j] = a * shifted[j] - b * padded[j]
-            scale *= m * q
-            polys.append(Polynomial._of([Fraction(c, scale) if c else f.zero for c in row], f))
-        return GegenbauerTable(params, tuple(polys), Route.RECURRENCE)
-    lam = float(params.lam)
-    if n >= 1:
-        polys.append(Polynomial([f.zero, 2 * lam], f))
-    for m in range(2, n + 1):
-        a = f.coerce(2 * (m + lam - 1) / m)
-        b = f.coerce((m + 2 * lam - 2) / m)
-        coeffs = [f.zero] + [a * c for c in polys[m - 1].coeffs]
-        for j, c in enumerate(polys[m - 2].coeffs):
-            coeffs[j] = coeffs[j] - b * c
-        polys.append(Polynomial._of(coeffs, f))
+        p, q = lam.numerator, lam.denominator
+        steps = ((2 * ((m - 1) * q + p), (m - 1) * q * ((m - 2) * q + 2 * p))
+                 for m in range(2, n + 1))
+        scales = accumulate(range(1, n + 1), lambda s, m: s * m * q, initial=1)
+        polys = [Polynomial._of([Fraction(c, s) if c else f.zero for c in row], f)
+                 for row, s in zip(_parity_rows([0, 2 * p], steps), scales)]
+    else:
+        steps = ((2 * (m + lam - 1) / m, (m + 2 * lam - 2) / m) for m in range(2, n + 1))
+        polys = [Polynomial._of(row, f)
+                 for row in islice(_parity_rows([f.zero, 2 * lam], steps), n + 1)]
     return GegenbauerTable(params, tuple(polys), Route.RECURRENCE)
+
+
+def _float_values(lam: float, t: float, n: int):
+    """C_0(t), ..., C_n(t) for a float lam: the three-term recurrence run on values."""
+    older, value = 1.0, 2 * lam * t
+    yield from (older, value)[: n + 1]
+    for k in range(2, n + 1):
+        older, value = value, (2 * t * (k + lam - 1) * value - (k + 2 * lam - 2) * older) / k
+        yield value
+
+
+def value_via_recurrence(lam, m: int, t):
+    """C_m(t) by the three-term recurrence run on values at t (DLMF 18.9.1); no table.
+
+    A float lam runs in float.  An exact lam = p/q with t = u/v (t is taken
+    exactly, as a table of that lam would take it) runs in integers on
+    E_k = q^k k! v^k C_k(u/v),
+    E_k = 2u((k-1)q + p) E_{k-1} - v^2 (k-1) q ((k-2)q + 2p) E_{k-2},
+    and reduces once, as E_m / (q^m m! v^m).
+    """
+    lam = check_lambda(lam)
+    _check_index(m, "m")
+    if isinstance(lam, float):
+        for value in _float_values(lam, FLOAT64.coerce(t), m):
+            pass
+        return value
+    p, q = lam.numerator, lam.denominator
+    t = EXACT.coerce(t)
+    u, v = t.numerator, t.denominator
+    older, value = 0, 1
+    for k in range(1, m + 1):
+        older, value = value, (2 * u * ((k - 1) * q + p) * value
+                               - v * v * (k - 1) * q * ((k - 2) * q + 2 * p) * older)
+    return Fraction(value, (q * v) ** m * factorial(m))
 
 
 @dataclass(frozen=True)
@@ -229,11 +285,12 @@ def derivative_interchange_check(lam, t, r, order: int) -> DerivativeInterchange
     """Compare d/dt (1 - 2rt + r^2)^(-lam) with sum_{m<=order} C_m'(t) r^m.
 
     The closed form A = 2 lam r (1 - 2 r t + r^2)^(-lam-1) comes from the
-    chain rule; B sums the formal derivatives of the recurrence-route
-    polynomials.  The report also carries an analytic tail budget
-    2 lam r * majorant_tail(lam+1, order-1, r): term-wise derivatives grow
-    like the lam+1 family, so the same majorant argument bounds what the
-    partial sum leaves out.  The budget is an empirical check harness
+    chain rule.  B sums C_m'(t) = 2 lam C_{m-1}^{lam+1}(t) (DLMF 18.9.19) as
+    2 lam C_k^{lam+1}(t) r^(k+1) for k < order, every value from one pass of
+    the recurrence on values at lam + 1; no table is built.  The report also
+    carries an analytic tail budget 2 lam r * majorant_tail(lam+1, order-1, r):
+    term-wise derivatives grow like the lam+1 family, so the same majorant
+    argument bounds what the partial sum leaves out.  The budget is an empirical check harness
     quantity; the suite verifies it covers the residual, and the residual
     itself is the number the tolerance applies to.
 
@@ -255,11 +312,10 @@ def derivative_interchange_check(lam, t, r, order: int) -> DerivativeInterchange
     base = 1.0 - 2.0 * r_f * t_f + r_f * r_f
     closed = 2.0 * lam_f * r_f * base ** (-lam_f - 1.0)
 
-    table = table_via_recurrence(GegenbauerParams(lam_f, order))
     partial = 0.0
-    power = 1.0
-    for p in table.polys:
-        partial += p.derivative().evaluate(t_f) * power
+    power = r_f
+    for c in _float_values(lam_f + 1.0, t_f, order - 1):
+        partial += 2.0 * lam_f * c * power
         power *= r_f
     residual = abs(closed - partial)
 

@@ -96,9 +96,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial._of([j * c for j, c in enumerate(self.coeffs) if j], self.field)
-
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)

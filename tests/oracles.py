@@ -62,6 +62,20 @@ def gegenbauer_coeff_lists(lam: Fraction, n: int):
     return lists
 
 
+def explicit_value(lam, m: int, t):
+    """C_m(t) = sum_k (-1)^k (lam)_{m-k} (2t)^{m-2k} / (k! (m-2k)!), the explicit sum (DLMF 18.5.10)."""
+    rising = [lam ** 0]
+    for j in range(m):
+        rising.append(rising[-1] * (lam + j))
+    return sum((-1) ** k * rising[m - k] * (2 * t) ** (m - 2 * k)
+               / (math.factorial(k) * math.factorial(m - 2 * k)) for k in range(m // 2 + 1))
+
+
+def derivative(coeffs):
+    """Coefficient list of d/dt of the polynomial with coefficients `coeffs`, lowest power first."""
+    return [j * c for j, c in enumerate(coeffs) if j]
+
+
 def chebyshev_u_value(m: int, theta: float) -> float:
     """U_m(cos theta) = sin((m+1) theta) / sin(theta); the lam = 1 family."""
     s = math.sin(theta)

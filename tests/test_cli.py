@@ -3,13 +3,17 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from gegenkit.cli import M_MAX_LIMIT, ORDER_LIMIT, cli
+
+from oracles import explicit_value, pochhammer
 
 
 @pytest.fixture()
@@ -99,6 +103,44 @@ class TestEvalAndAtOne:
         a = invoke(runner, "at-one", "--lambda", "7/3", "--degree", "9")
         b = invoke(runner, "eval", "--lambda", "7/3", "--degree", "9", "--t", "1")
         assert a.output == b.output
+
+    @pytest.mark.parametrize("lam, m, t", [
+        (1.0, 100, 0.5), (1.0, 200, 0.5), (1.0, 400, 0.5),  # true values -1, 0, -1
+        (0.5, 60, 0.9),  # P_60(0.9) = 0.031790
+        (300.0, 400, 0.5),  # finite, about 1.3e163
+    ])
+    def test_float_eval_matches_explicit_sum(self, runner, lam, m, t):
+        res = invoke(runner, "eval", "--lambda", repr(lam), "--degree", str(m), "--t", repr(t))
+        assert res.exit_code == 0
+        want = float(explicit_value(Fraction(lam), m, Fraction(t)))
+        assert abs(float(res.stdout) - want) <= 1e-13 * max(abs(want), 1.0)
+
+    def test_exact_eval_at_degree_1000(self, runner):
+        res = invoke(runner, "eval", "--lambda", "108/29", "--degree", "1000", "--t", "7/13")
+        assert res.exit_code == 0
+        want = explicit_value(Fraction(108, 29), 1000, Fraction(7, 13))
+        assert res.stdout == _digits(want) + "\n"
+
+    def test_exact_output_beyond_the_int_str_cap(self, runner):
+        cap = sys.get_int_max_str_digits()
+        res = invoke(runner, "at-one", "--lambda", "108/29", "--degree", "3000")
+        assert res.exit_code == 0
+        assert len(res.stdout) > cap
+        assert res.stdout == _digits(pochhammer(Fraction(216, 29), 3000) / math.factorial(3000)) + "\n"
+        # the cap is back, and literal parsing still keeps it
+        assert sys.get_int_max_str_digits() == cap
+        res = invoke(runner, "at-one", "--lambda", "1" * (cap + 1), "--degree", "2")
+        assert res.exit_code == 2
+
+
+def _digits(value: Fraction) -> str:
+    """'p/q' of any length, with the int-to-str cap lifted for this test only."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 class TestVerify:
@@ -194,6 +236,15 @@ class TestDerivCheck:
         assert res.stdout == ""
         assert res.stderr.splitlines()[-1] == "Error: float overflow: Numerical result out of range"
 
+    def test_high_order_passes(self, runner):
+        # true truncation residual 7.1e-12; the value-space sum reaches it
+        res = invoke(runner, "deriv-check", "--lambda", "1", "--t", "0.5", "--r", "0.9",
+                     "--order", "300")
+        assert res.exit_code == 0
+        lines = dict(line.split("=", 1) for line in res.output.splitlines())
+        assert abs(float(lines["partial_sum"]) - 2.17365052530) <= 1e-10
+        assert lines["status"] == "pass"
+
     def test_json_has_budget_record(self, runner):
         res = invoke(runner, "deriv-check", "--lambda", "1", "--t", "0", "--r", "0.3",
                      "--order", "40", "--format", "json")
@@ -202,11 +253,11 @@ class TestDerivCheck:
 
 
 def _ceiling_cases(order, degree):
-    """Every command with a ceiling: `order` goes to the O(N^2) tables, `degree` to at-one."""
+    """Every command with a ceiling: `order` goes to the O(N^2) table, `degree` to the O(m) rest."""
     return [
         ["table", "--lambda", "1", "--order", str(order)],
-        ["eval", "--lambda", "1.0", "--degree", str(order), "--t", "0.5"],
-        ["deriv-check", "--lambda", "1", "--t", "0.5", "--r", "0.1", "--order", str(order)],
+        ["eval", "--lambda", "1.0", "--degree", str(degree), "--t", "0.5"],
+        ["deriv-check", "--lambda", "1", "--t", "0.5", "--r", "0.1", "--order", str(degree)],
         ["at-one", "--lambda", "1", "--degree", str(degree)],
     ]
 
@@ -216,7 +267,7 @@ class TestLimits:
                              ids=lambda a: a[0])
     def test_above_limit_is_usage_error(self, runner, args):
         res = invoke(runner, *args)
-        limit = M_MAX_LIMIT if args[0] == "at-one" else ORDER_LIMIT
+        limit = ORDER_LIMIT if args[0] == "table" else M_MAX_LIMIT
         assert res.exit_code == 2
         assert res.stdout == ""
         assert f"must be at most {limit}" in res.stderr
@@ -233,8 +284,23 @@ class TestLimits:
         res = invoke(runner, "at-one", "--lambda", "1/2", "--degree", str(M_MAX_LIMIT))
         assert (res.exit_code, res.stdout) == (0, "1/1\n")
         res = invoke(runner, "deriv-check", "--lambda", "1", "--t", "0.5", "--r", "0",
-                     "--order", str(ORDER_LIMIT))
+                     "--order", str(M_MAX_LIMIT))
         assert res.exit_code == 0
+        res = invoke(runner, "eval", "--lambda", "1.0", "--degree", str(M_MAX_LIMIT), "--t", "0.5")
+        assert (res.exit_code, res.stdout) == (0, "-1.0\n")
+
+    @pytest.mark.parametrize("args", [
+        ["table", "--lambda", "1", "--order", "-1"],
+        ["eval", "--lambda", "1", "--t", "1/2", "--degree", "-1"],
+        ["deriv-check", "--lambda", "1", "--t", "0", "--r", "0.5", "--order", "-1"],
+        ["at-one", "--lambda", "1", "--degree", "-1"],
+        ["verify", "--lambda-list", "1", "--m-max", "-1"],
+    ], ids=lambda a: a[0])
+    def test_negative_index_names_the_flag(self, runner, args):
+        res = invoke(runner, *args)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"{args[-2]} must be nonnegative" in res.stderr
 
     @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("args", [
@@ -252,7 +318,8 @@ class TestLimits:
 class TestNonFiniteFloat:
     @pytest.mark.parametrize("args", [
         ["at-one", "--lambda", "1e300", "--degree", "3"],
-        ["eval", "--lambda", "300.0", "--degree", "400", "--t", "0.5"],
+        # C_3(0.5) is about 1e900
+        ["eval", "--lambda", "1e300", "--degree", "3", "--t", "0.5"],
         # rows m = 0, 1 are finite: nothing may be printed before m = 2 is checked
         ["verify", "--lambda-list", "1e300", "--m-max", "2"],
         # rows m = 0, 1 are finite, m = 2 overflows: no row may be printed

@@ -12,7 +12,6 @@ from gegenkit.coefficients import gamma_ratio_coefficient
 from gegenkit.fields import EXACT, FLOAT64
 from gegenkit.gegenbauer import (
     GegenbauerParams,
-    GegenbauerTable,
     Route,
     derivative_interchange_check,
     majorant_tail,
@@ -20,10 +19,12 @@ from gegenkit.gegenbauer import (
     table_via_recurrence,
     value_at_one,
     value_via_conjugate_product,
+    value_via_recurrence,
 )
 from gegenkit.polynomials import Polynomial
 
-from oracles import chebyshev_u_value, gegenbauer_coeff_lists, pochhammer
+from oracles import (chebyshev_u_value, derivative, explicit_value, gegenbauer_coeff_lists,
+                     pochhammer)
 from test_identity import positive_rationals
 
 LAMBDAS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3)]
@@ -135,7 +136,8 @@ def generic_float_recurrence(lam: float, n: int) -> list:
 
 
 class TestRecurrenceKernels:
-    """The exact branch runs in integers on q^m m! C_m; the float branch is the generic loop."""
+    """The exact branch runs in integers on q^m m! C_m; the float branch is the generic loop
+    restricted to the entries of the parity of m, and keeps its bits."""
 
     @settings(max_examples=40, deadline=None)
     @given(positive_rationals, st.integers(min_value=0, max_value=40))
@@ -153,10 +155,10 @@ class TestRecurrenceKernels:
         params = GegenbauerParams(Fraction(17, 7), 120)
         assert table_via_recurrence(params).polys == table_via_composition(params).polys
 
-    @pytest.mark.parametrize("lam", [0.75, 2.5, 7.0])
+    @pytest.mark.parametrize("lam", [0.75, 2.5, 7.0, 1e-3, 1e300])
     def test_float_is_bit_identical_to_generic_loop(self, lam):
-        tbl = table_via_recurrence(GegenbauerParams(lam, 60))
-        want = generic_float_recurrence(lam, 60)
+        tbl = table_via_recurrence(GegenbauerParams(lam, 400))
+        want = generic_float_recurrence(lam, 400)
         assert [[c.hex() for c in p.coeffs] for p in tbl.polys] == [
             [c.hex() for c in row] for row in want
         ]
@@ -237,6 +239,47 @@ class TestEvaluate:
                 got = float(tbl.evaluate(m, t))
                 want = chebyshev_u_value(m, theta)
                 assert abs(got - want) <= 1e-9 * (1 + abs(want))
+
+
+class TestValueViaRecurrence:
+    """C_m(t) from the recurrence on values at t: exact in integers, float in float."""
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(7, 3), Fraction(108, 29), 3])
+    def test_exact_equals_horner_and_explicit_sum(self, lam):
+        tbl = table_via_composition(GegenbauerParams(lam, 40))
+        for t in (Fraction(0), Fraction(1), Fraction(-2, 7), Fraction(7, 13), Fraction(3)):
+            for m in (0, 1, 2, 17, 40):
+                got = value_via_recurrence(lam, m, t)
+                assert type(got) is Fraction
+                assert got == tbl.evaluate(m, t) == explicit_value(Fraction(lam), m, t)
+
+    def test_float_matches_exact_to_degree_1000(self):
+        # measured worst: 1e-14 * C_m(1); the bound leaves a factor of 10
+        for lam in (0.5, 1.0, 2.5, 7.0):
+            for t in (-0.99, -0.8, -0.3, 0.0, 0.5, 0.9, 0.99):
+                for m in (10, 100, 400, 1000):
+                    want = value_via_recurrence(Fraction(lam), m, Fraction(t))
+                    got = value_via_recurrence(lam, m, t)
+                    assert type(got) is float
+                    assert abs(got - float(want)) <= 1e-13 * value_at_one(lam, m)
+
+    def test_float_table_evaluates_in_value_space(self):
+        tbl = table_via_recurrence(GegenbauerParams(1.0, 400))
+        for m in (100, 200, 400):
+            assert tbl.evaluate(m, 0.5) == value_via_recurrence(1.0, m, 0.5)
+        assert (tbl.evaluate(100, 0.5), tbl.evaluate(200, 0.5)) == (-1.0, 0.0)
+
+    def test_mode_follows_lambda(self):
+        assert value_via_recurrence(1, 2, 0.5) == Fraction(0)  # t taken exactly
+        assert value_via_recurrence(1.0, 2, Fraction(1, 3)) == pytest.approx(-5 / 9)
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ValueError):
+            value_via_recurrence(0.0, 3, 0.5)
+        with pytest.raises(ValueError):
+            value_via_recurrence(1.0, -1, 0.5)
+        with pytest.raises(ValueError):
+            value_via_recurrence(Fraction(1), 3, math.inf)
 
 
 class TestValueAtOne:
@@ -394,7 +437,8 @@ class TestDerivativeFamilyRelation:
             base = table_via_composition(GegenbauerParams(lam, 20))
             lifted = table_via_composition(GegenbauerParams(lam + 1, 19))
             for m in range(1, 21):
-                assert base.polys[m].derivative() == lifted.polys[m - 1] * (2 * lam)
+                want = [2 * lam * c for c in lifted.polys[m - 1].coeffs]
+                assert derivative(base.polys[m].coeffs) == want
 
 
 class TestDerivativeInterchange:

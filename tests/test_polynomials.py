@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gegenkit.fields import EXACT, FLOAT64, FieldMismatchError
+from gegenkit.fields import FLOAT64, FieldMismatchError
 from gegenkit.polynomials import POLY_EXACT, Polynomial
 
 from oracles import full_convolution
@@ -83,18 +83,6 @@ class TestZeroSkipping:
     @pytest.mark.parametrize("s", [Fraction(-3, 4), 0])
     def test_scale_matches_dense(self, s):
         assert Polynomial(self.A).scale(s) == Polynomial([c * s for c in self.A])
-
-
-class TestDerivative:
-    def test_examples(self):
-        assert Polynomial([-1, 0, 4]).derivative().coeffs == (Fraction(0), Fraction(8))
-        assert Polynomial([17]).derivative() == Polynomial([0])
-        half = Polynomial([Fraction(-1, 2), 0, Fraction(3, 2)])
-        assert half.derivative() == Polynomial([0, 3])
-
-    def test_degree_drops(self):
-        p = Polynomial([1, 2, 3, 4])
-        assert p.derivative().degree == p.degree - 1
 
 
 class TestPolynomialCoefficients:

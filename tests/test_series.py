@@ -15,7 +15,6 @@ from gegenkit.series import (
     compose_inner_polynomial,
     series_add,
     series_mul,
-    series_scale,
 )
 
 from oracles import falling_binomial, full_convolution
