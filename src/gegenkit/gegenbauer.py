@@ -30,7 +30,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
-from math import factorial
+from math import factorial, isfinite
 
 from .coefficients import (_check_index, check_lambda, gamma_ratio_coefficient, gamma_ratios,
                            signed_binomial)
@@ -179,10 +179,13 @@ def value_via_recurrence(lam, m: int, t):
     exactly, as a table of that lam would take it) runs in integers on
     E_k = q^k k! v^k C_k(u/v),
     E_k = 2u((k-1)q + p) E_{k-1} - v^2 (k-1) q ((k-2)q + 2p) E_{k-2},
-    and reduces once, as E_m / (q^m m! v^m).
+    and reduces once, as E_m / (q^m m! v^m).  A float t that is inf or nan
+    raises ValueError.
     """
     lam = check_lambda(lam)
     _check_index(m, "m")
+    if isinstance(t, float) and not isfinite(t):
+        raise ValueError(f"t must be finite, not {t!r}")
     if isinstance(lam, float):
         for value in _float_values(lam, FLOAT64.coerce(t), m):
             pass
@@ -211,12 +214,15 @@ def value_via_conjugate_product(lam, phi: float, m: int, imag_tolerance: float =
 
     The sum is mathematically real; the imaginary residue is recorded and the
     result is flagged when |imag| exceeds imag_tolerance * (1 + |real|),
-    which signals a numerical defect rather than a math error.  A sum that
-    overflows to inf or nan raises OverflowError.
+    which signals a numerical defect rather than a math error.  A phi that is
+    inf or nan raises ValueError; a sum that overflows to inf or nan raises
+    OverflowError.
     """
     check_lambda(lam)
-    prefix = gamma_ratios(float(lam), m)
     phi = float(phi)
+    if not isfinite(phi):
+        raise ValueError(f"phi must be finite, not {phi!r}")
+    prefix = gamma_ratios(float(lam), m)
     total = complex(0.0)
     for k in range(m + 1):
         phase = cmath.exp(1j * ((2 * k - m) * phi))

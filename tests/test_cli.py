@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from gegenkit.cli import M_MAX_LIMIT, ORDER_LIMIT, cli
+from gegenkit.cli import COMPOSITION_LIMIT, M_MAX_LIMIT, ORDER_LIMIT, cli
 
 from oracles import explicit_value, pochhammer
 
@@ -252,33 +252,43 @@ class TestDerivCheck:
         assert [r["check"] for r in recs] == ["deriv-check", "deriv-check-budget"]
 
 
-def _ceiling_cases(order, degree):
-    """Every command with a ceiling: `order` goes to the O(N^2) table, `degree` to the O(m) rest."""
+def _ceiling_cases(excess):
+    """Every command with a ceiling, asked for `excess` above it, with the message it must give.
+
+    `table` runs on both routes; composition is the default and has the lower ceiling.
+    """
+    def case(case_id, args, flag, limit, scope=""):
+        return pytest.param([*args, flag, str(limit + excess)],
+                            f"{flag} must be at most {limit}{scope}", id=case_id)
+
     return [
-        ["table", "--lambda", "1", "--order", str(order)],
-        ["eval", "--lambda", "1.0", "--degree", str(degree), "--t", "0.5"],
-        ["deriv-check", "--lambda", "1", "--t", "0.5", "--r", "0.1", "--order", str(degree)],
-        ["at-one", "--lambda", "1", "--degree", str(degree)],
+        case("table", ["table", "--lambda", "1"], "--order", COMPOSITION_LIMIT,
+             " on the composition route"),
+        case("table-recurrence", ["table", "--lambda", "1", "--route", "recurrence"], "--order",
+             ORDER_LIMIT, " on the recurrence route"),
+        case("eval", ["eval", "--lambda", "1.0", "--t", "0.5"], "--degree", M_MAX_LIMIT),
+        case("deriv-check", ["deriv-check", "--lambda", "1", "--t", "0.5", "--r", "0.1"], "--order",
+             M_MAX_LIMIT),
+        case("at-one", ["at-one", "--lambda", "1"], "--degree", M_MAX_LIMIT),
     ]
 
 
 class TestLimits:
-    @pytest.mark.parametrize("args", _ceiling_cases(ORDER_LIMIT + 1, M_MAX_LIMIT + 1),
-                             ids=lambda a: a[0])
-    def test_above_limit_is_usage_error(self, runner, args):
+    @pytest.mark.parametrize("args, message", _ceiling_cases(1))
+    def test_above_limit_is_usage_error(self, runner, args, message):
         res = invoke(runner, *args)
-        limit = ORDER_LIMIT if args[0] == "table" else M_MAX_LIMIT
         assert res.exit_code == 2
         assert res.stdout == ""
-        assert f"must be at most {limit}" in res.stderr
+        assert res.stderr.splitlines()[-1] == f"Error: {message}"
 
-    @pytest.mark.parametrize("args", _ceiling_cases(10**8, 10**8), ids=lambda a: a[0])
-    def test_huge_value_exits_before_any_work(self, args):
+    @pytest.mark.parametrize("args, message", _ceiling_cases(10**8))
+    def test_huge_value_exits_before_any_work(self, args, message):
         # the ceiling is checked before any table or product is built
         res = subprocess.run([sys.executable, "-m", "gegenkit.cli", *args],
                              capture_output=True, timeout=30)
         assert res.returncode == 2
         assert res.stdout == b""
+        assert res.stderr.decode().splitlines()[-1] == f"Error: {message}"
 
     def test_limits_themselves_are_accepted(self, runner):
         res = invoke(runner, "at-one", "--lambda", "1/2", "--degree", str(M_MAX_LIMIT))
@@ -315,23 +325,37 @@ class TestLimits:
         assert "--tolerance must be finite and nonnegative" in res.stderr
 
 
+NON_FINITE_CASES = [
+    ["at-one", "--lambda", "1e300", "--degree", "3"],
+    # C_3(0.5) is about 1e900
+    ["eval", "--lambda", "1e300", "--degree", "3", "--t", "0.5"],
+    # rows m = 0, 1 are finite: nothing may be printed before m = 2 is checked
+    ["verify", "--lambda-list", "1e300", "--m-max", "2"],
+    # rows m = 0, 1 are finite, m = 2 overflows: no row may be printed
+    ["table", "--lambda", "1e300", "--order", "3", "--route", "recurrence"],
+    # high-degree coefficients overflow to +-inf, so the partial sum is nan
+    ["deriv-check", "--lambda", "1e12", "--t", "0.5", "--r", "1e-10", "--order", "30"],
+]
+
+
 class TestNonFiniteFloat:
-    @pytest.mark.parametrize("args", [
-        ["at-one", "--lambda", "1e300", "--degree", "3"],
-        # C_3(0.5) is about 1e900
-        ["eval", "--lambda", "1e300", "--degree", "3", "--t", "0.5"],
-        # rows m = 0, 1 are finite: nothing may be printed before m = 2 is checked
-        ["verify", "--lambda-list", "1e300", "--m-max", "2"],
-        # rows m = 0, 1 are finite, m = 2 overflows: no row may be printed
-        ["table", "--lambda", "1e300", "--order", "3", "--route", "recurrence"],
-        # high-degree coefficients overflow to +-inf, so the partial sum is nan
-        ["deriv-check", "--lambda", "1e12", "--t", "0.5", "--r", "1e-10", "--order", "30"],
+    @pytest.mark.parametrize("args, fmt", [
+        pytest.param(args, fmt, id=f"args{i}" + ("" if fmt == "text" else f"-{fmt}"))
+        for fmt in ("text", "csv", "json") for i, args in enumerate(NON_FINITE_CASES)
     ])
-    def test_inf_or_nan_is_usage_error(self, runner, args):
-        res = invoke(runner, *args)
+    def test_inf_or_nan_is_usage_error(self, runner, args, fmt):
+        res = invoke(runner, *args, "--format", fmt)
         assert res.exit_code == 2
         assert res.stdout == ""
         assert res.stderr.splitlines()[-1] == "Error: float overflow: result is not finite"
+
+    @pytest.mark.parametrize("degree", ["0", "3"])
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_point_is_named(self, runner, t, degree):
+        res = invoke(runner, "eval", "--lambda", "1.0", "--degree", degree, "--t", t)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines()[-1] == f"Error: t must be finite, not {float(t)!r}"
 
 
 class TestFormatsAgree:

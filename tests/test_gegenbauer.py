@@ -281,6 +281,13 @@ class TestValueViaRecurrence:
         with pytest.raises(ValueError):
             value_via_recurrence(Fraction(1), 3, math.inf)
 
+    @pytest.mark.parametrize("lam", [1.5, Fraction(3, 2)])
+    @pytest.mark.parametrize("m", [0, 3])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_is_named(self, lam, m, t):
+        with pytest.raises(ValueError, match="^t must be finite"):
+            value_via_recurrence(lam, m, t)
+
 
 class TestValueAtOne:
     def test_examples(self):
@@ -360,6 +367,12 @@ class TestConjugateProduct:
             value_via_conjugate_product(0.0, 1.0, 3)
         with pytest.raises(ValueError):
             value_via_conjugate_product(1.0, 1.0, -3)
+
+    @pytest.mark.parametrize("m", [0, 3])
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phi_is_named(self, m, phi):
+        with pytest.raises(ValueError, match="^phi must be finite"):
+            value_via_conjugate_product(1.5, phi, m)
 
     def test_non_finite_sum_raises_overflow(self):
         # (300)_k / k! overflows to inf at k = 1022, and the sum then holds inf - inf
