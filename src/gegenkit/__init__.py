@@ -38,8 +38,8 @@ from .gegenbauer import (
     value_via_recurrence,
 )
 from .identity import IdentityReport, identity_lhs, identity_rhs, sweep, verify
-from .polynomials import POLY_EXACT, Polynomial, PolynomialCoefficients
-from .series import TruncatedSeries, compose_inner_polynomial, series_add, series_mul, series_scale
+from .polynomials import POLY_EXACT, Polynomial
+from .series import TruncatedSeries, compose_inner_polynomial, series_add, series_mul
 
 __version__ = "0.1.0"
 
@@ -58,12 +58,10 @@ __all__ = [
     "gamma_ratio_coefficient",
     "signed_binomial",
     "Polynomial",
-    "PolynomialCoefficients",
     "POLY_EXACT",
     "TruncatedSeries",
     "series_add",
     "series_mul",
-    "series_scale",
     "compose_inner_polynomial",
     "Route",
     "GegenbauerParams",

@@ -67,7 +67,10 @@ def _parse_literals(literals: list[str], mode_flag: str | None) -> list:
         raise click.UsageError("float literal given together with --mode exact")
     mode = mode_flag or ("float" if "float" in kinds else "exact")
     values = [parse_scalar(text) for text in literals]
-    return [float(v) for v in values] if mode == "float" else values
+    try:
+        return [float(v) for v in values] if mode == "float" else values
+    except OverflowError:
+        raise ValueError("an exact literal does not fit a float (magnitude above 1.8e308)") from None
 
 
 def _cell(value) -> str:

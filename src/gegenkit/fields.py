@@ -1,13 +1,14 @@
 """Coefficient fields shared by every series and polynomial operation.
 
-Scalars are plain Python values (``fractions.Fraction`` or ``float``) and
-combine through their own operators; a field object supplies the constants
-and the coercion rules of each realization.  Exact arithmetic rides on the
-stdlib ``Fraction``, which keeps every value canonical (reduced, with a
-positive denominator) after each operation.
+Scalars are plain Python values and combine through their own operators; a
+`CoefficientField` supplies the constants and the coercion rule of one
+realization: `EXACT` (``fractions.Fraction``, canonical after every
+operation), `FLOAT64` (IEEE-754 doubles) and, in `polynomials`, `POLY_EXACT`.
+The module also owns the Cauchy product that `Polynomial` multiplication and
+`series_mul` share, with the check that both operands share a field.
 
-This module also owns the scalar literal format used by the CLI and by JSON
-payloads: ``"p/q"`` (q > 0) or a plain integer for exact values, standard
+It also owns the scalar literal format used by the CLI and by JSON payloads:
+``"p/q"`` (q > 0) or a plain integer for exact values, standard
 decimal/scientific notation for floats.
 """
 
@@ -16,12 +17,12 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "CoefficientField",
-    "ExactRationalField",
-    "Float64Field",
     "EXACT",
     "FLOAT64",
     "FieldMismatchError",
@@ -46,61 +47,66 @@ def _normalize_literal(text: str) -> str:
     return text.strip().replace("−", "-")
 
 
+@dataclass(frozen=True, eq=False)
 class CoefficientField:
-    """Constants and coercion for one scalar realization.
+    """Constants and coercion for one scalar realization; fields compare by identity.
 
     Arithmetic uses the scalars' own operators, so division by zero always
     raises ``ZeroDivisionError`` instead of producing a silent inf/nan.
     """
 
-    name = "abstract"
-    zero: object = None
-    one: object = None
-
-    def coerce(self, value):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"<field {self.name}>"
+    name: str
+    zero: object
+    one: object
+    coerce: Callable
 
 
-class ExactRationalField(CoefficientField):
-    """Arbitrary-precision rationals (`fractions.Fraction`); equality is exact."""
-
-    name = "exact"
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def coerce(self, value) -> Fraction:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, float):
-            # Binary floats are rationals; the conversion is exact.
-            if not math.isfinite(value):
-                raise ValueError(f"cannot coerce non-finite float {value!r} to a rational")
-            return Fraction(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} into the exact field")
+def _to_fraction(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"cannot coerce non-finite float {value!r} to a rational")
+    if isinstance(value, (int, float)):  # a binary float is a rational: the conversion is exact
+        return Fraction(value)
+    raise TypeError(f"cannot coerce {type(value).__name__} into the exact field")
 
 
-class Float64Field(CoefficientField):
-    """IEEE-754 doubles."""
-
-    name = "float64"
-    zero = 0.0
-    one = 1.0
-
-    def coerce(self, value) -> float:
-        if isinstance(value, float):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return float(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} into the float64 field")
+def _to_float(value) -> float:
+    if isinstance(value, float):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return float(value)
+    raise TypeError(f"cannot coerce {type(value).__name__} into the float64 field")
 
 
-EXACT = ExactRationalField()
-FLOAT64 = Float64Field()
+EXACT = CoefficientField("exact", Fraction(0), Fraction(1), _to_fraction)
+FLOAT64 = CoefficientField("float64", 0.0, 1.0, _to_float)
+
+
+def _common_field(a, b) -> CoefficientField:
+    """The field of operands `a` and `b`; FieldMismatchError if they differ."""
+    if a.field is not b.field:
+        raise FieldMismatchError(f"cannot combine operands over {a.field.name} and {b.field.name}")
+    return a.field
+
+
+def _cauchy(a, b, n: int) -> list:
+    """Terms 0..n of the product of `a.coeffs` and `b.coeffs`, over their common field.
+
+    Term k sums a_i b_(k-i) in increasing i, so float results are reproducible.
+    Zeros are skipped by truth value (no `Fraction.__eq__` per coefficient),
+    and one pass over a runs for each nonzero entry of b.
+    """
+    out = [_common_field(a, b).zero] * (n + 1)
+    nonzero = [(j, y) for j, y in enumerate(b.coeffs[: n + 1]) if y]
+    for i, x in enumerate(a.coeffs[: n + 1]):
+        if not x:
+            continue
+        for j, y in nonzero:
+            if i + j > n:
+                break
+            out[i + j] = out[i + j] + x * y
+    return out
 
 
 def literal_kind(text: str) -> str:

@@ -29,7 +29,7 @@ import cmath
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice
 from math import factorial, isfinite
 
 from .coefficients import (_check_index, check_lambda, gamma_ratio_coefficient, gamma_ratios,
@@ -52,6 +52,9 @@ __all__ = [
     "majorant_tail",
     "derivative_interchange_check",
 ]
+
+_IMAG_TOLERANCE = 1e-10
+_MAJORANT = "majorant closed form (1 - r)^(-2 lam)"
 
 
 class Route(enum.Enum):
@@ -139,11 +142,16 @@ def _parity_rows(first: list, steps):
         yield row
 
 
+def _exact_steps(p: int, q: int):
+    """(a_k, b_k), k >= 1, of D_k = a_k t D_{k-1} - b_k D_{k-2} on D_k = q^k k! C_k, lam = p/q."""
+    for k in count(1):
+        yield 2 * ((k - 1) * q + p), (k - 1) * q * ((k - 2) * q + 2 * p)
+
+
 def table_via_recurrence(params: GegenbauerParams) -> GegenbauerTable:
     """Three-term recurrence in either field; validated elsewhere against composition.
 
-    Exact lam = p/q runs in integers on D_m = q^m m! C_m,
-    D_m = 2 t ((m-1) q + p) D_{m-1} - (m-1) q ((m-2) q + 2p) D_{m-2},
+    Exact lam = p/q runs in integers on D_m = q^m m! C_m (`_exact_steps`)
     and reduces each nonzero coefficient once, as D_m[j] / (q^m m!).  Float
     mode runs m C_m = 2 t (m + lam - 1) C_{m-1} - (m + 2 lam - 2) C_{m-2}.
     Both touch only the entries of the parity of m.
@@ -151,8 +159,7 @@ def table_via_recurrence(params: GegenbauerParams) -> GegenbauerTable:
     f, n, lam = params.field, params.order, params.lam
     if f is EXACT:
         p, q = lam.numerator, lam.denominator
-        steps = ((2 * ((m - 1) * q + p), (m - 1) * q * ((m - 2) * q + 2 * p))
-                 for m in range(2, n + 1))
+        steps = islice(_exact_steps(p, q), 1, n)
         scales = accumulate(range(1, n + 1), lambda s, m: s * m * q, initial=1)
         polys = [Polynomial._of([Fraction(c, s) if c else f.zero for c in row], f)
                  for row, s in zip(_parity_rows([0, 2 * p], steps), scales)]
@@ -177,10 +184,9 @@ def value_via_recurrence(lam, m: int, t):
 
     A float lam runs in float.  An exact lam = p/q with t = u/v (t is taken
     exactly, as a table of that lam would take it) runs in integers on
-    E_k = q^k k! v^k C_k(u/v),
-    E_k = 2u((k-1)q + p) E_{k-1} - v^2 (k-1) q ((k-2)q + 2p) E_{k-2},
-    and reduces once, as E_m / (q^m m! v^m).  A float t that is inf or nan
-    raises ValueError.
+    E_k = q^k k! v^k C_k(u/v), E_k = a_k u E_{k-1} - v^2 b_k E_{k-2} with
+    (a_k, b_k) from `_exact_steps`, and reduces once, as E_m / (q^m m! v^m).
+    A float t that is inf or nan raises ValueError.
     """
     lam = check_lambda(lam)
     _check_index(m, "m")
@@ -194,9 +200,8 @@ def value_via_recurrence(lam, m: int, t):
     t = EXACT.coerce(t)
     u, v = t.numerator, t.denominator
     older, value = 0, 1
-    for k in range(1, m + 1):
-        older, value = value, (2 * u * ((k - 1) * q + p) * value
-                               - v * v * (k - 1) * q * ((k - 2) * q + 2 * p) * older)
+    for a, b in islice(_exact_steps(p, q), m):
+        older, value = value, a * u * value - v * v * b * older
     return Fraction(value, (q * v) ** m * factorial(m))
 
 
@@ -209,11 +214,11 @@ class ConjugateValue:
     within_tolerance: bool
 
 
-def value_via_conjugate_product(lam, phi: float, m: int, imag_tolerance: float = 1e-10) -> ConjugateValue:
+def value_via_conjugate_product(lam, phi: float, m: int) -> ConjugateValue:
     """C_m(cos phi) as sum_k (lam)_k (lam)_{m-k} / (k! (m-k)!) e^{i(2k-m) phi}.
 
     The sum is mathematically real; the imaginary residue is recorded and the
-    result is flagged when |imag| exceeds imag_tolerance * (1 + |real|),
+    result is flagged when |imag| exceeds 1e-10 * (1 + |real|),
     which signals a numerical defect rather than a math error.  A phi that is
     inf or nan raises ValueError; a sum that overflows to inf or nan raises
     OverflowError.
@@ -230,13 +235,21 @@ def value_via_conjugate_product(lam, phi: float, m: int, imag_tolerance: float =
     if not cmath.isfinite(total):
         raise OverflowError("conjugate-product sum is not finite")
     residue = abs(total.imag)
-    ok = residue <= imag_tolerance * (1.0 + abs(total.real))
+    ok = residue <= _IMAG_TOLERANCE * (1.0 + abs(total.real))
     return ConjugateValue(total.real, residue, ok)
 
 
 def value_at_one(lam, m: int):
     """C_m(1) = (2 lam)_m / m!, the coefficient-comparison closed form at t = 1."""
     return gamma_ratio_coefficient(2 * check_lambda(lam), m)
+
+
+def _float_power(base: float, exponent: float, what: str) -> float:
+    """base ** exponent; on overflow, OverflowError saying that `what` is not finite."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise OverflowError(f"{what} is not finite") from None
 
 
 def majorant_tail(lam, order: int, r):
@@ -264,7 +277,7 @@ def majorant_tail(lam, order: int, r):
         closed = 1 / (1 - rr) ** int(two_lam)
     else:
         two_lam, rr = 2.0 * float(lam), float(r)
-        closed = (1.0 - rr) ** -two_lam
+        closed = _float_power(1.0 - rr, -two_lam, _MAJORANT)
     partial = rr * 0
     power = rr ** 0
     for c in gamma_ratios(two_lam, order):
@@ -303,10 +316,7 @@ def derivative_interchange_check(lam, t, r, order: int) -> DerivativeInterchange
     r = 0 is admitted as the trivial case (every term carries a factor r, so
     A = B = 0 and the budget is 0).
     """
-    check_lambda(lam)
-    lam_f = float(lam)
-    t_f = float(t)
-    r_f = float(r)
+    lam_f, t_f, r_f = float(check_lambda(lam)), float(t), float(r)
     _check_index(order, "order")
     if not -1.0 <= t_f <= 1.0:
         raise ValueError("t must lie in [-1, 1]")
@@ -316,7 +326,8 @@ def derivative_interchange_check(lam, t, r, order: int) -> DerivativeInterchange
         return DerivativeInterchangeReport(lam_f, t_f, r_f, order, 0.0, 0.0, 0.0, 0.0)
 
     base = 1.0 - 2.0 * r_f * t_f + r_f * r_f
-    closed = 2.0 * lam_f * r_f * base ** (-lam_f - 1.0)
+    closed = 2.0 * lam_f * r_f * _float_power(base, -lam_f - 1.0,
+                                              "closed form (1 - 2rt + r^2)^(-lam-1)")
 
     partial = 0.0
     power = r_f
@@ -325,10 +336,7 @@ def derivative_interchange_check(lam, t, r, order: int) -> DerivativeInterchange
         power *= r_f
     residual = abs(closed - partial)
 
-    if order >= 1:
-        budget = 2.0 * lam_f * r_f * majorant_tail(lam_f + 1.0, order - 1, r_f)
-    else:
-        budget = 2.0 * lam_f * r_f * (1.0 - r_f) ** (-2.0 * (lam_f + 1.0))
-    return DerivativeInterchangeReport(
-        lam_f, t_f, r_f, order, closed, partial, residual, budget
-    )
+    tail = (majorant_tail(lam_f + 1.0, order - 1, r_f) if order
+            else _float_power(1.0 - r_f, -2.0 * (lam_f + 1.0), _MAJORANT))
+    budget = 2.0 * lam_f * r_f * tail
+    return DerivativeInterchangeReport(lam_f, t_f, r_f, order, closed, partial, residual, budget)

@@ -1,20 +1,25 @@
-"""Dense univariate polynomials over a coefficient field."""
+"""Dense univariate polynomials over a coefficient field, and POLY_EXACT.
+
+`POLY_EXACT` is the coefficient field whose scalars are exact polynomials in
+t, so a series in r can carry whole polynomials as coefficients.  The product
+is the Cauchy product that `series_mul` also runs (`fields._cauchy`).
+"""
 
 from __future__ import annotations
 
-from .fields import EXACT, CoefficientField, FieldMismatchError
+from .fields import EXACT, CoefficientField, FieldMismatchError, _cauchy, _common_field
 
-__all__ = ["Polynomial", "PolynomialCoefficients", "POLY_EXACT"]
+__all__ = ["Polynomial", "POLY_EXACT"]
 
 
 class Polynomial:
     """Coefficients in increasing powers of the variable t.
 
     Trailing zero coefficients are stripped on construction; the canonical
-    zero polynomial is the single-entry list [0].  `+`, `*` and `scale` skip
-    zero coefficients, which changes no exact value; over floats a -0.0 can
-    then survive where -0.0 + 0.0 would give 0.0.  No library float path
-    uses these operators.
+    zero polynomial is the single-entry list [0], the one falsy polynomial.
+    `+` and `*` skip zero coefficients, which changes no exact value; over
+    floats a -0.0 can then survive where -0.0 + 0.0 would give 0.0.  No
+    library float path uses these operators.
     """
 
     __slots__ = ("field", "coeffs")
@@ -30,27 +35,22 @@ class Polynomial:
         return poly
 
     def _settle(self, items: list, field: CoefficientField) -> None:
-        while len(items) > 1 and items[-1] == field.zero:
+        while len(items) > 1 and not items[-1]:
             items.pop()
-        if not items:
-            items = [field.zero]
         self.field = field
-        self.coeffs = tuple(items)
+        self.coeffs = tuple(items or [field.zero])
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def _require_same_field(self, other: "Polynomial") -> None:
-        if self.field is not other.field:
-            raise FieldMismatchError(
-                f"polynomials over {self.field.name} and {other.field.name} cannot be combined"
-            )
+    def __bool__(self):
+        return bool(self.coeffs[-1])
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._require_same_field(other)
+        f = _common_field(self, other)
         longer, shorter = self.coeffs, other.coeffs
         if len(longer) < len(shorter):
             longer, shorter = shorter, longer
@@ -58,35 +58,17 @@ class Polynomial:
         for j, b in enumerate(shorter):
             if b:
                 out[j] = out[j] + b
-        return Polynomial._of(out, self.field)
-
-    def __neg__(self):
-        return Polynomial._of([-c for c in self.coeffs], self.field)
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        f = self.field
-        if not isinstance(other, Polynomial):
-            return self.scale(other)
-        self._require_same_field(other)
-        out = [f.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in nonzero:
-                out[i + j] = out[i + j] + a * b
         return Polynomial._of(out, f)
 
-    __rmul__ = __mul__
+    def __mul__(self, other):
+        if isinstance(other, Polynomial):
+            out = _cauchy(self, other, len(self.coeffs) + len(other.coeffs) - 2)
+        else:
+            s = self.field.coerce(other)
+            out = [c * s if c else c for c in self.coeffs]
+        return Polynomial._of(out, self.field)
 
-    def scale(self, scalar) -> "Polynomial":
-        s = self.field.coerce(scalar)
-        return Polynomial._of([c * s if c else c for c in self.coeffs], self.field)
+    __rmul__ = __mul__
 
     def evaluate(self, t):
         """Horner evaluation in this polynomial's own field (exact over Fraction)."""
@@ -97,36 +79,20 @@ class Polynomial:
         return acc
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.field is other.field
-            and self.coeffs == other.coeffs
-        )
+        return (isinstance(other, Polynomial)
+                and self.field is other.field and self.coeffs == other.coeffs)
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
 
 
-class PolynomialCoefficients(CoefficientField):
-    """Polynomials in t over the exact field, acting as series coefficients.
-
-    This realizes the coefficient contract a third time so a series in r can
-    carry whole polynomials in t as coefficients.  Polynomials form a ring,
-    not a field; the series machinery only adds and multiplies them.
-    """
-
-    name = "poly[exact]"
-    zero = Polynomial([EXACT.zero])
-    one = Polynomial([EXACT.one])
-
-    def coerce(self, value) -> Polynomial:
-        if isinstance(value, Polynomial):
-            if value.field is not EXACT:
-                raise FieldMismatchError(
-                    f"polynomial over {value.field.name} in a {self.name} series"
-                )
-            return value
-        return Polynomial([EXACT.coerce(value)])
+def _to_polynomial(value) -> Polynomial:
+    if isinstance(value, Polynomial):
+        if value.field is not EXACT:
+            raise FieldMismatchError(f"polynomial over {value.field.name} in a poly[exact] series")
+        return value
+    return Polynomial([EXACT.coerce(value)])
 
 
-POLY_EXACT = PolynomialCoefficients()
+POLY_EXACT = CoefficientField("poly[exact]", Polynomial([0]), Polynomial([1]), _to_polynomial)
+"""Exact polynomials in t as series coefficients: a ring, which is all series arithmetic needs."""

@@ -5,19 +5,15 @@ arithmetic happens modulo r^(N+1).  The order is the truncation order, not
 the degree: trailing zeros are data and are never stripped.  Binary
 operations truncate to the smaller operand's order, so every retained
 coefficient is fully determined -- nothing is padded with invented zeros.
+`series_mul` is the Cauchy product `Polynomial` multiplication shares, and
+the composition route runs `compose_inner_polynomial` over `POLY_EXACT`.
 """
 
 from __future__ import annotations
 
-from .fields import CoefficientField, FieldMismatchError
+from .fields import CoefficientField, _cauchy, _common_field
 
-__all__ = [
-    "TruncatedSeries",
-    "series_add",
-    "series_mul",
-    "series_scale",
-    "compose_inner_polynomial",
-]
+__all__ = ["TruncatedSeries", "series_add", "series_mul", "compose_inner_polynomial"]
 
 
 class TruncatedSeries:
@@ -41,57 +37,25 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.field is other.field
-            and self.coeffs == other.coeffs
-        )
+        return (isinstance(other, TruncatedSeries)
+                and self.field is other.field and self.coeffs == other.coeffs)
 
     def __repr__(self):
         return f"TruncatedSeries({list(self.coeffs)!r}, field={self.field.name})"
 
 
-def _require_same_field(a: TruncatedSeries, b: TruncatedSeries) -> None:
-    if a.field is not b.field:
-        raise FieldMismatchError(
-            f"series over {a.field.name} and {b.field.name} cannot be combined"
-        )
-
-
 def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Coefficient-wise sum, truncated to min(a.order, b.order)."""
-    _require_same_field(a, b)
-    return TruncatedSeries([x + y for x, y in zip(a.coeffs, b.coeffs)], a.field)
+    return TruncatedSeries([x + y for x, y in zip(a.coeffs, b.coeffs)], _common_field(a, b))
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product: c_m = sum_{k=0}^m a_k b_{m-k}, for m up to min(order).
 
-    For each output index the terms accumulate in increasing k, so float
-    results are reproducible run to run.  Exact zero operands are skipped;
-    the nonzero entries of b are collected once, so a product against a
-    sparse b costs one pass over a for each nonzero entry of b.
+    The product is `fields._cauchy`, the one `Polynomial` multiplication
+    runs: terms accumulate in increasing k and exact zeros are skipped.
     """
-    _require_same_field(a, b)
-    f = a.field
-    n = min(a.order, b.order)
-    out = [f.zero] * (n + 1)
-    nonzero = [(j, bj) for j, bj in enumerate(b.coeffs[: n + 1]) if bj != f.zero]
-    for i in range(n + 1):
-        ai = a.coeffs[i]
-        if ai == f.zero:
-            continue
-        for j, bj in nonzero:
-            if i + j > n:
-                break
-            out[i + j] = out[i + j] + ai * bj
-    return TruncatedSeries(out, f)
-
-
-def series_scale(a: TruncatedSeries, scalar) -> TruncatedSeries:
-    """Multiply every coefficient by a fixed scalar of the same field."""
-    s = a.field.coerce(scalar)
-    return TruncatedSeries([c * s for c in a.coeffs], a.field)
+    return TruncatedSeries(_cauchy(a, b, min(a.order, b.order)), a.field)
 
 
 def compose_inner_polynomial(outer_coeffs, inner: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -106,16 +70,13 @@ def compose_inner_polynomial(outer_coeffs, inner: TruncatedSeries, order: int) -
     if order < 0:
         raise ValueError("order must be nonnegative")
     f = inner.field
-    if inner.coeffs[0] != f.zero:
+    if inner.coeffs[0]:
         raise ValueError("inner polynomial must have zero constant term")
-    padded = list(inner.coeffs[: order + 1])
-    padded += [f.zero] * (order + 1 - len(padded))
-    widened = TruncatedSeries(padded, f)
-
-    acc_coeffs = [f.coerce(outer_coeffs(0))] + [f.zero] * order
-    acc = TruncatedSeries(acc_coeffs, f)
+    widened = TruncatedSeries((inner.coeffs + (f.zero,) * order)[: order + 1], f)
+    acc = TruncatedSeries([f.coerce(outer_coeffs(0))] + [f.zero] * order, f)
     power = TruncatedSeries.one(f, order)
     for j in range(1, order + 1):
         power = series_mul(power, widened)
-        acc = series_add(acc, series_scale(power, outer_coeffs(j)))
+        b = f.coerce(outer_coeffs(j))
+        acc = series_add(acc, TruncatedSeries([c * b for c in power.coeffs], f))
     return acc

@@ -36,6 +36,23 @@ def full_convolution(a, b):
     return out
 
 
+def bivariate_product(a, b, n: int):
+    """Coefficient lists in t of r^0..r^n in the product of two series in r.
+
+    Each operand lists, per power of r, the coefficient list of a polynomial
+    in t; the product runs over a dict keyed by (power of r, power of t).
+    """
+    acc = {}
+    for ir, pa in enumerate(a):
+        for jr, pb in enumerate(b):
+            for it, x in enumerate(pa):
+                for jt, y in enumerate(pb):
+                    key = (ir + jr, it + jt)
+                    acc[key] = acc.get(key, Fraction(0)) + x * y
+    return [[acc.get((m, k), Fraction(0)) for k in range(1 + max(k for (_, k) in acc))]
+            for m in range(n + 1)]
+
+
 def gegenbauer_coeff_lists(lam: Fraction, n: int):
     """Coefficient lists of C_0..C_n in t via bivariate expansion.
 

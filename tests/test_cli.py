@@ -230,11 +230,14 @@ class TestDerivCheck:
         assert unicode_res.stdout == ascii_res.stdout
 
     def test_float_overflow_is_usage_error(self, runner):
-        res = invoke(runner, "deriv-check", "--lambda", "300", "--t", "0.5", "--r", "0.99",
-                     "--order", "10")
-        assert res.exit_code == 2
-        assert res.stdout == ""
-        assert res.stderr.splitlines()[-1] == "Error: float overflow: Numerical result out of range"
+        # t = 0.5 overflows the tail budget's majorant, t = 0.99 the derivative's closed form
+        for t, form in [("0.5", "majorant closed form (1 - r)^(-2 lam)"),
+                        ("0.99", "closed form (1 - 2rt + r^2)^(-lam-1)")]:
+            res = invoke(runner, "deriv-check", "--lambda", "300", "--t", t, "--r", "0.99",
+                         "--order", "10")
+            assert res.exit_code == 2
+            assert res.stdout == ""
+            assert res.stderr.splitlines()[-1] == f"Error: float overflow: {form} is not finite"
 
     def test_high_order_passes(self, runner):
         # true truncation residual 7.1e-12; the value-space sum reaches it
@@ -348,6 +351,17 @@ class TestNonFiniteFloat:
         assert res.exit_code == 2
         assert res.stdout == ""
         assert res.stderr.splitlines()[-1] == "Error: float overflow: result is not finite"
+
+    @pytest.mark.parametrize("args", [
+        ["eval", "--lambda", str(10 ** 400), "--degree", "2", "--t", "0.5"],
+        ["deriv-check", "--lambda", "1", "--t", f"-{10 ** 400}/3", "--r", "1/2", "--order", "3"],
+    ])
+    def test_exact_literal_beyond_float_is_named(self, runner, args):
+        res = invoke(runner, *args)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines()[-1] == (
+            "Error: an exact literal does not fit a float (magnitude above 1.8e308)")
 
     @pytest.mark.parametrize("degree", ["0", "3"])
     @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])

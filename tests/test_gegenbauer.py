@@ -28,6 +28,7 @@ from oracles import (chebyshev_u_value, derivative, explicit_value, gegenbauer_c
 from test_identity import positive_rationals
 
 LAMBDAS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3)]
+MAJORANT = "majorant closed form (1 - r)^(-2 lam)"
 
 
 def poly(coeffs):
@@ -354,13 +355,14 @@ class TestConjugateProduct:
         assert got.within_tolerance
 
     def test_flagging_contract(self):
-        cases = [(1.7, 0.9, 7), (2.3, 1.1, 9), (0.6, 2.0, 11)]
-        residues = [value_via_conjugate_product(*c).imag_residue for c in cases]
-        if all(r == 0.0 for r in residues):
-            pytest.skip("no nonzero imaginary residue among probe cases")
-        idx = next(i for i, r in enumerate(residues) if r > 0.0)
-        flagged = value_via_conjugate_product(*cases[idx], imag_tolerance=0.0)
+        # flagged when |imag| > 1e-10 (1 + |real|): here 1.0e-2 against 1e-10 (1 + 2.2e7)
+        flagged = value_via_conjugate_product(8.0, math.pi / 3, 60)
+        assert 5e-3 < flagged.imag_residue < 2e-2
+        assert abs(flagged.value) > 2e7
         assert not flagged.within_tolerance
+        passed = value_via_conjugate_product(1.7, 0.9, 7)
+        assert passed.imag_residue <= 1e-10 * (1 + abs(passed.value))
+        assert passed.within_tolerance
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -414,6 +416,12 @@ class TestMajorantTail:
             n = rng.randint(0, 60)
             r = rng.uniform(0.01, 0.99)
             assert majorant_tail(lam, n, r) >= 0.0
+
+    def test_float_overflow_is_named(self):
+        # (1 - 0.9)^(-800) is about 1e800
+        with pytest.raises(OverflowError) as exc:
+            majorant_tail(400.0, 5, 0.9)
+        assert str(exc.value) == f"{MAJORANT} is not finite"
 
     @pytest.mark.parametrize("bad_r", [0.0, 1.0, -0.5, 1.5, Fraction(0), Fraction(1)])
     def test_r_domain(self, bad_r):
@@ -481,6 +489,16 @@ class TestDerivativeInterchange:
                     rep = derivative_interchange_check(lam, t, r, 45)
                     slack = 1e-10 * (1.0 + abs(rep.closed_form))
                     assert rep.residual <= rep.tail_budget + slack
+
+    @pytest.mark.parametrize("t, order, form", [
+        (0.99, 4, "closed form (1 - 2rt + r^2)^(-lam-1)"),  # 0.0199^(-301)
+        (0.5, 0, MAJORANT),  # order 0: the budget is the whole majorant at lam + 1
+        (0.5, 10, MAJORANT),
+    ])
+    def test_float_overflow_is_named(self, t, order, form):
+        with pytest.raises(OverflowError) as exc:
+            derivative_interchange_check(300.0, t, 0.99, order)
+        assert str(exc.value) == f"{form} is not finite"
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):

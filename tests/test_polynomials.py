@@ -1,5 +1,6 @@
-"""Dense polynomial type and the polynomial-coefficients realization."""
+"""Dense polynomial type and the polynomial-coefficients field POLY_EXACT."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,10 @@ class TestConstruction:
         assert Polynomial([]).coeffs == (Fraction(0),)
         assert Polynomial([0, 0, 0]).coeffs == (Fraction(0),)
         assert Polynomial([]) == Polynomial([0])
+        # only the zero polynomial is falsy
+        assert not Polynomial([0, 0]) and not Polynomial([-0.0], FLOAT64)
+        assert Polynomial([0, 1]) and Polynomial([Fraction(1, 3)])
+        assert Polynomial([0.0, -0.5], FLOAT64) and Polynomial([math.nan], FLOAT64)
 
     def test_float_field(self):
         p = Polynomial([1, 0.5], FLOAT64)
@@ -32,7 +37,8 @@ class TestArithmetic:
         p = Polynomial([1, 2])
         q = Polynomial([3, -2, 4])
         assert (p + q).coeffs == (Fraction(4), Fraction(0), Fraction(4))
-        assert (q - p).coeffs == (Fraction(2), Fraction(-4), Fraction(4))
+        # a difference is a sum with a (-1)-scaled operand
+        assert (q + (-1) * p).coeffs == (Fraction(2), Fraction(-4), Fraction(4))
 
     def test_cancellation_renormalizes(self):
         p = Polynomial([1, 1])
@@ -63,7 +69,7 @@ class TestArithmetic:
 
 
 class TestZeroSkipping:
-    """+, * and scale skip zero coefficients; exact results equal the dense loops."""
+    """+ and * (by a polynomial or a scalar) skip zeros; exact results equal the dense loops."""
 
     A = [Fraction(1, 3), 0, 0, Fraction(-2, 5), 0, Fraction(7)]
     B = [0, Fraction(3, 2), 0, 0, Fraction(-1, 7)]
@@ -74,7 +80,7 @@ class TestZeroSkipping:
         pad = max(len(x), len(y))
         xs, ys = x + [0] * (pad - len(x)), y + [0] * (pad - len(y))
         assert Polynomial(x) + Polynomial(y) == Polynomial([a + b for a, b in zip(xs, ys)])
-        assert Polynomial(x) - Polynomial(y) == Polynomial([a - b for a, b in zip(xs, ys)])
+        assert Polynomial(x) + -1 * Polynomial(y) == Polynomial([a - b for a, b in zip(xs, ys)])
 
     @pytest.mark.parametrize("x, y", [(A, B), (B, A), (A, C), (B, [0])])
     def test_mul_matches_dense(self, x, y):
@@ -82,7 +88,21 @@ class TestZeroSkipping:
 
     @pytest.mark.parametrize("s", [Fraction(-3, 4), 0])
     def test_scale_matches_dense(self, s):
-        assert Polynomial(self.A).scale(s) == Polynomial([c * s for c in self.A])
+        want = Polynomial([c * s for c in self.A])
+        assert Polynomial(self.A) * s == s * Polynomial(self.A) == want
+
+    def test_float_negative_zero_is_skipped(self):
+        # -0.0 is falsy, so it is skipped like 0.0; the dense loop from 0.0 gives the same bits
+        x, y = [-0.0, 1.5, -0.0, 2.0], [-0.0, -0.0, 3.0]
+        got = Polynomial(x, FLOAT64) * Polynomial(y, FLOAT64)
+        want = [0.0] * 6
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                want[i + j] += a * b
+        assert [c.hex() for c in got.coeffs] == [c.hex() for c in want]
+        # a scalar product keeps a zero as it is, where -0.0 * -2.0 would give 0.0
+        assert [c.hex() for c in (Polynomial(x, FLOAT64) * -2.0).coeffs] == [
+            (-0.0).hex(), (-3.0).hex(), (-0.0).hex(), (-4.0).hex()]
 
 
 class TestPolynomialCoefficients:
@@ -103,5 +123,5 @@ class TestPolynomialCoefficients:
         f = POLY_EXACT
         t = Polynomial([0, 1])
         assert t * t == Polynomial([0, 0, 1])
-        assert f.one + (-f.one) == f.zero
+        assert f.one + Polynomial([-1]) == f.zero
         assert Polynomial([0]) == f.zero

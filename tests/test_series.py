@@ -17,7 +17,7 @@ from gegenkit.series import (
     series_mul,
 )
 
-from oracles import falling_binomial, full_convolution
+from oracles import bivariate_product, falling_binomial, full_convolution
 
 
 def exact_series(coeffs):
@@ -85,6 +85,18 @@ class TestMul:
             got = series_mul(exact_series(a), exact_series(b))
             want = full_convolution(a, b)[: n + 1]
             assert list(got.coeffs) == want
+
+    def test_polynomial_coefficients_with_zero_entries(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            n = rng.randint(0, 8)
+            a, b = ([[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                      for _ in range(rng.randint(1, 4))] if rng.random() < 0.5 else [0]
+                     for _ in range(n + 1)] for _ in range(2))
+            a[0] = b[n] = [0]
+            got = series_mul(TruncatedSeries(map(Polynomial, a), POLY_EXACT),
+                             TruncatedSeries(map(Polynomial, b), POLY_EXACT))
+            assert got.coeffs == tuple(map(Polynomial, bivariate_product(a, b, n)))
 
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatchError):
