@@ -29,6 +29,7 @@ import cmath
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, count, islice
 from math import factorial, isfinite
 
@@ -82,23 +83,50 @@ class GegenbauerParams:
         return EXACT if isinstance(self.lam, Fraction) else FLOAT64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GegenbauerTable:
-    """Polynomials [C_0, ..., C_N] in t, tagged with the route that built them."""
+    """Polynomials [C_0, ..., C_N] in t, `polys`, built once from `params` by `route`:
+    at construction for an exact table, whose `evaluate` runs Horner over them, and on
+    the first read of `polys` for a float table, whose `evaluate` never reads them."""
 
     params: GegenbauerParams
-    polys: tuple
     route: Route
+
+    def __post_init__(self):
+        if self.params.field is EXACT:
+            self.polys  # built now, not on first read
+        elif self.route is Route.COMPOSITION:
+            raise ValueError("the composition route supports exact mode only")
+
+    @cached_property
+    def polys(self) -> tuple:
+        f, n, lam = self.params.field, self.params.order, self.params.lam
+        if self.route is Route.COMPOSITION:
+            inner = TruncatedSeries([0, Polynomial([0, -2]), 1], POLY_EXACT)
+            return compose_inner_polynomial(lambda j: signed_binomial(lam, j), inner, n).coeffs
+        if f is EXACT:
+            p, q = lam.numerator, lam.denominator
+            steps = islice(_exact_steps(p, q), 1, n)
+            scales = accumulate(range(1, n + 1), lambda s, m: s * m * q, initial=1)
+            return tuple(Polynomial._of([Fraction(c, s) if c else f.zero for c in row], f)
+                         for row, s in zip(_parity_rows([0, 2 * p], steps), scales))
+        steps = ((2 * (m + lam - 1) / m, (m + 2 * lam - 2) / m) for m in range(2, n + 1))
+        rows = islice(_parity_rows([f.zero, 2 * lam], steps), n + 1)
+        return tuple(Polynomial._of(row, f) for row in rows)
+
+    def __eq__(self, other):
+        return (isinstance(other, GegenbauerTable) and self.params == other.params
+                and self.route is other.route and self.polys == other.polys)
 
     def evaluate(self, m: int, t):
         """C_m at t in the table's own field.
 
-        An exact table runs exact Horner over its own polynomials, so a
-        composition table is evaluated apart from the recurrence.  A float
-        table defers to `value_via_recurrence`, which does not cancel the
-        way float Horner over monomials does.
+        An exact table runs Horner over its own rows, so a composition table is evaluated
+        apart from the recurrence.  A float table defers to `value_via_recurrence`, which
+        reads no rows and does not cancel the way float Horner over monomials does.
         """
-        if not 0 <= m <= self.params.order:
+        _check_index(m, "m")
+        if m > self.params.order:
             raise ValueError(f"degree {m} outside table range 0..{self.params.order}")
         if self.params.field is FLOAT64:
             return value_via_recurrence(self.params.lam, m, t)
@@ -108,18 +136,10 @@ class GegenbauerTable:
 def table_via_composition(params: GegenbauerParams) -> GegenbauerTable:
     """Expand the generating function symbolically in t; exact mode only.
 
-    The inner polynomial r^2 - 2 t r has valuation 1, so collecting powers of
-    r from sum_j C(-lam, j) (r^2 - 2 t r)^j through j = N yields every C_m,
-    m <= N, with exact rational coefficients.
+    The inner polynomial r^2 - 2 t r has valuation 1, so collecting powers of r from sum_j
+    C(-lam, j) (r^2 - 2 t r)^j through j = N yields every exact C_m, m <= N.
     """
-    if params.field is not EXACT:
-        raise ValueError("the composition route supports exact mode only")
-    n = params.order
-    lam = params.lam
-    inner_coeffs = [POLY_EXACT.zero, Polynomial([0, -2]), POLY_EXACT.one]
-    inner = TruncatedSeries(inner_coeffs[: n + 1], POLY_EXACT)
-    expansion = compose_inner_polynomial(lambda j: signed_binomial(lam, j), inner, n)
-    return GegenbauerTable(params, expansion.coeffs, Route.COMPOSITION)
+    return GegenbauerTable(params, Route.COMPOSITION)
 
 
 def _parity_rows(first: list, steps):
@@ -154,20 +174,9 @@ def table_via_recurrence(params: GegenbauerParams) -> GegenbauerTable:
     Exact lam = p/q runs in integers on D_m = q^m m! C_m (`_exact_steps`)
     and reduces each nonzero coefficient once, as D_m[j] / (q^m m!).  Float
     mode runs m C_m = 2 t (m + lam - 1) C_{m-1} - (m + 2 lam - 2) C_{m-2}.
-    Both touch only the entries of the parity of m.
+    Both touch only the entries of the parity of m; float rows wait for a read of `polys`.
     """
-    f, n, lam = params.field, params.order, params.lam
-    if f is EXACT:
-        p, q = lam.numerator, lam.denominator
-        steps = islice(_exact_steps(p, q), 1, n)
-        scales = accumulate(range(1, n + 1), lambda s, m: s * m * q, initial=1)
-        polys = [Polynomial._of([Fraction(c, s) if c else f.zero for c in row], f)
-                 for row, s in zip(_parity_rows([0, 2 * p], steps), scales)]
-    else:
-        steps = ((2 * (m + lam - 1) / m, (m + 2 * lam - 2) / m) for m in range(2, n + 1))
-        polys = [Polynomial._of(row, f)
-                 for row in islice(_parity_rows([f.zero, 2 * lam], steps), n + 1)]
-    return GegenbauerTable(params, tuple(polys), Route.RECURRENCE)
+    return GegenbauerTable(params, Route.RECURRENCE)
 
 
 def _float_values(lam: float, t: float, n: int):

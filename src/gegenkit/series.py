@@ -65,7 +65,7 @@ def compose_inner_polynomial(outer_coeffs, inner: TruncatedSeries, order: int) -
     beyond inner^order cannot touch coefficients of r^order and the sum is
     finite and exact.  The inner operand denotes a polynomial in r: if it was
     built at a lower order its missing coefficients are genuinely zero and it
-    is widened accordingly.
+    is widened accordingly.  Only the truthy (nonzero) coefficients of inner^j are added.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -73,10 +73,10 @@ def compose_inner_polynomial(outer_coeffs, inner: TruncatedSeries, order: int) -
     if inner.coeffs[0]:
         raise ValueError("inner polynomial must have zero constant term")
     widened = TruncatedSeries((inner.coeffs + (f.zero,) * order)[: order + 1], f)
-    acc = TruncatedSeries([f.coerce(outer_coeffs(0))] + [f.zero] * order, f)
+    acc = [f.coerce(outer_coeffs(0))] + [f.zero] * order
     power = TruncatedSeries.one(f, order)
     for j in range(1, order + 1):
         power = series_mul(power, widened)
         b = f.coerce(outer_coeffs(j))
-        acc = series_add(acc, TruncatedSeries([c * b for c in power.coeffs], f))
-    return acc
+        acc = [x + c * b if c else x for x, c in zip(acc, power.coeffs)]
+    return TruncatedSeries(acc, f)

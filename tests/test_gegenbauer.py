@@ -2,12 +2,15 @@
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gegenkit import gegenbauer
 from gegenkit.coefficients import gamma_ratio_coefficient
 from gegenkit.fields import EXACT, FLOAT64
 from gegenkit.gegenbauer import (
@@ -72,6 +75,31 @@ class TestComposition:
     def test_float_mode_rejected(self):
         with pytest.raises(ValueError):
             table_via_composition(GegenbauerParams(0.5, 3))
+
+    def test_no_product_or_term_is_zero(self, monkeypatch):
+        # (r^2 - 2 t r)^j is zero outside r^j..r^2j; those entries are neither scaled nor added.
+        # A sum's left operand may be zero: each accumulator entry starts there, as in _cauchy.
+        mul, add = Polynomial.__mul__, Polynomial.__add__
+        products, zero_ops = [], []
+
+        def counting_mul(a, b):
+            products.append(1)
+            if not a or (isinstance(b, Polynomial) and not b):
+                zero_ops.append(("*", a, b))
+            return mul(a, b)
+
+        def counting_add(a, b):
+            if not b:
+                zero_ops.append(("+", a, b))
+            return add(a, b)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+        monkeypatch.setattr(Polynomial, "__add__", counting_add)
+        params = GegenbauerParams(Fraction(17, 7), 64)
+        tbl = table_via_composition(params)
+        monkeypatch.undo()
+        assert products and zero_ops == []
+        assert tbl.polys == table_via_recurrence(params).polys
 
     def test_against_bivariate_oracle(self):
         for lam in [Fraction(1), Fraction(1, 2), Fraction(7, 3)]:
@@ -165,6 +193,73 @@ class TestRecurrenceKernels:
         ]
 
 
+@pytest.fixture
+def row_builds(monkeypatch):
+    """Records each call of the recurrence's row builder, `gegenbauer._parity_rows`."""
+    calls = []
+    build = gegenbauer._parity_rows
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(gegenbauer, "_parity_rows", counting)
+    return calls
+
+
+class TestDeferredRows:
+    """A float recurrence table builds its rows on the first read of `polys`; an exact
+    table builds them with the table, because its `evaluate` runs Horner over them."""
+
+    def test_float_evaluate_builds_no_rows(self, row_builds):
+        tbl = table_via_recurrence(GegenbauerParams(2.5, 400))
+        for t in (-0.9, 0.5, 1.0):
+            assert tbl.evaluate(400, t) == value_via_recurrence(2.5, 400, t)
+        assert row_builds == []
+
+    def test_float_rows_are_built_once_on_first_read(self, row_builds):
+        tbl = table_via_recurrence(GegenbauerParams(2.5, 40))
+        assert row_builds == []
+        rows = tbl.polys
+        assert len(row_builds) == 1 and len(rows) == 41
+        assert tbl.polys is rows and len(row_builds) == 1
+
+    def test_exact_rows_are_built_with_the_table(self, row_builds):
+        tbl = table_via_recurrence(GegenbauerParams(Fraction(3, 2), 40))
+        assert len(row_builds) == 1
+        assert tbl.evaluate(40, Fraction(1, 3)) == value_via_recurrence(Fraction(3, 2), 40,
+                                                                         Fraction(1, 3))
+        assert len(tbl.polys) == 41 and len(row_builds) == 1
+
+    def test_concurrent_first_reads_agree(self):
+        # cached_property takes no lock from Python 3.12 on: threads may each build the rows
+        tbl = table_via_recurrence(GegenbauerParams(2.5, 120))
+        seen = []
+        threads = [threading.Thread(target=lambda: seen.append(tbl.polys)) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads) and len(seen) == 4
+        want = [[c.hex() for c in row] for row in generic_float_recurrence(2.5, 120)]
+        for rows in seen + [tbl.polys]:
+            assert [[c.hex() for c in p.coeffs] for p in rows] == want
+
+    def test_equality_compares_params_route_and_rows(self):
+        for lam in (Fraction(7, 3), 7 / 3):
+            params = GegenbauerParams(lam, 12)
+            assert table_via_recurrence(params) == table_via_recurrence(params)
+            assert table_via_recurrence(params) != table_via_recurrence(GegenbauerParams(lam, 11))
+        exact = GegenbauerParams(Fraction(7, 3), 12)
+        assert table_via_recurrence(exact) != table_via_composition(exact)
+        assert table_via_recurrence(exact).polys == table_via_composition(exact).polys
+
+
 class TestRouteAgreement:
     def test_composition_equals_recurrence(self):
         for lam in LAMBDAS:
@@ -224,6 +319,14 @@ class TestEvaluate:
             tbl.evaluate(3, 0)
         with pytest.raises(ValueError):
             tbl.evaluate(-1, 0)
+        # both fields name a bad index the same way, before the range check
+        for lam in (Fraction(3, 2), 1.5):
+            tbl = table_via_recurrence(GegenbauerParams(lam, 4))
+            for m in (2.0, -1, "2"):
+                with pytest.raises(ValueError, match="m must be a nonnegative integer"):
+                    tbl.evaluate(m, Fraction(1, 2))
+            with pytest.raises(ValueError, match=r"degree 5 outside table range 0\.\.4"):
+                tbl.evaluate(5, Fraction(1, 2))
 
     def test_eq3_consistency_at_one(self):
         for lam in LAMBDAS:
