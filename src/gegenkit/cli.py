@@ -2,11 +2,11 @@
 
 Each command hands `_emit` its records, in the seven fields
 lambda,m,check,value_or_lhs,rhs,residual,status, and the layout of its text
-lines.  `_emit` exits 2 on an inf or nan float before writing a byte, takes
-every scalar's text from `fields.format_scalar` ("p/q", q may be 1, or the
-shortest round-tripping decimal) and writes text, csv (the seven columns
-under a header) or json lines (the same keys and values; lists as arrays,
-exact scalars as strings).  Results go to stdout, diagnostics to stderr.
+lines.  `_emit` exits 2 on an inf or nan float before writing a byte, then writes
+text or csv (the seven columns under a header), each scalar's text from
+`fields.format_scalar` ("p/q", q may be 1, or the shortest round-tripping decimal),
+or json lines by `json` (the same keys and values; floats by their repr, lists as
+arrays, exact scalars as `fields.format_exact` strings).  Results go to stdout.
 
 Exit 0 -- every check passes; exit 1 -- a mathematical check failed; exit 2
 -- usage or domain error, or a non-finite float (one-line reason on stderr).
@@ -25,7 +25,7 @@ import sys
 
 import click
 
-from .fields import format_scalar, literal_kind, parse_scalar
+from .fields import format_exact, format_scalar, literal_kind, parse_scalar
 from .gegenbauer import (
     GegenbauerParams,
     derivative_interchange_check,
@@ -36,7 +36,7 @@ from .gegenbauer import (
 )
 from .identity import sweep
 
-__all__ = ["cli", "main"]
+__all__ = ["cli"]
 
 M_MAX_LIMIT = 10_000
 """Largest `verify --m-max`, `at-one --degree`, `eval --degree` and `deriv-check --order`: O(m) work."""
@@ -82,16 +82,6 @@ def _cell(value) -> str:
     return format_scalar(value)
 
 
-def _json(value) -> str:
-    """JSON form of a scalar field: null, an array, a float's own text or a quoted 'p/q'."""
-    if value is None:
-        return "null"
-    if isinstance(value, tuple):
-        return "[" + ", ".join(map(_json, value)) + "]"
-    text = format_scalar(value)
-    return text if isinstance(value, float) else json.dumps(text)
-
-
 def _emit(fmt: str, records: list[tuple], text=lambda rows: (row[3] for row in rows)) -> None:
     """Write `records` (tuples of FIELDS) to stdout in `fmt`, formatting one row at a time.
 
@@ -103,10 +93,8 @@ def _emit(fmt: str, records: list[tuple], text=lambda rows: (row[3] for row in r
     if any(isinstance(v, float) and not math.isfinite(v) for v in scalars):
         raise OverflowError("result is not finite")
     if fmt == "json":
-        for lam, m, check, value, rhs, residual, status in records:
-            cells = (_json(lam), str(m), json.dumps(check), _json(value), _json(rhs),
-                     _json(residual), json.dumps(status))
-            sys.stdout.write("{" + ", ".join(f'"{k}": {c}' for k, c in zip(FIELDS, cells)) + "}\n")
+        for record in records:
+            sys.stdout.write(json.dumps(dict(zip(FIELDS, record)), default=format_exact) + "\n")
         return
     rows = ((_cell(lam), str(m), check, _cell(value), _cell(rhs), _cell(residual), status)
             for lam, m, check, value, rhs, residual, status in records)
@@ -250,9 +238,5 @@ def deriv_check(lam_text, t_text, r_text, order, tolerance, fmt):
         sys.exit(1)
 
 
-def main():
-    cli()
-
-
 if __name__ == "__main__":
-    main()
+    cli()

@@ -24,7 +24,7 @@ __all__ = [
 
 
 def _check_index(m, name: str = "index") -> None:
-    if not isinstance(m, int) or m < 0:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError(f"{name} must be a nonnegative integer")
 
 

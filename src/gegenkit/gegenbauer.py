@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import cmath
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, count, islice
-from math import factorial, isfinite
+from math import factorial, inf, isfinite
 
 from .coefficients import (_check_index, check_lambda, gamma_ratio_coefficient, gamma_ratios,
                            signed_binomial)
@@ -68,26 +68,26 @@ class GegenbauerParams:
     """Order parameter lam > 0 plus the truncation order / maximal degree N.
 
     A Fraction (or int) lam selects exact mode, a float lam selects float
-    mode; the choice flows through to the polynomial coefficients.
+    mode; the choice, `field`, flows through to the polynomial coefficients.  It is
+    compared, so params of equal lam in the two modes are unequal.
     """
 
     lam: object
     order: int
+    field: CoefficientField = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lam", check_lambda(self.lam))
         _check_index(self.order, "order")
-
-    @property
-    def field(self) -> CoefficientField:
-        return EXACT if isinstance(self.lam, Fraction) else FLOAT64
+        object.__setattr__(self, "field", EXACT if isinstance(self.lam, Fraction) else FLOAT64)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GegenbauerTable:
     """Polynomials [C_0, ..., C_N] in t, `polys`, built once from `params` by `route`:
     at construction for an exact table, whose `evaluate` runs Horner over them, and on
-    the first read of `polys` for a float table, whose `evaluate` never reads them."""
+    the first read of `polys` for a float table, whose `evaluate` never reads them.
+    `params` and `route` determine the rows, so they alone decide `==` and the hash."""
 
     params: GegenbauerParams
     route: Route
@@ -113,10 +113,6 @@ class GegenbauerTable:
         steps = ((2 * (m + lam - 1) / m, (m + 2 * lam - 2) / m) for m in range(2, n + 1))
         rows = islice(_parity_rows([f.zero, 2 * lam], steps), n + 1)
         return tuple(Polynomial._of(row, f) for row in rows)
-
-    def __eq__(self, other):
-        return (isinstance(other, GegenbauerTable) and self.params == other.params
-                and self.route is other.route and self.polys == other.polys)
 
     def evaluate(self, m: int, t):
         """C_m at t in the table's own field.
@@ -269,9 +265,10 @@ def majorant_tail(lam, order: int, r):
     bound is that closed form minus the partial sum through `order` -- the
     exact remainder of the majorant series.
 
-    Returns a Fraction when lam and r are exact and 2 lam is an integer (the
-    closed form is then rational); otherwise computes in float, where tiny
-    negative rounding residue is clamped to zero.
+    Returns a Fraction when lam and r are exact and 2 lam is an integer (the closed form
+    is then rational); otherwise computes in float, where tiny negative rounding residue
+    is clamped to zero.  The float sum stops once r^k underflows to 0, after which no term
+    adds anything; a partial sum that still overflows returns inf, the only sure bound.
     """
     lam = check_lambda(lam)
     _check_index(order, "order")
@@ -290,9 +287,13 @@ def majorant_tail(lam, order: int, r):
     partial = rr * 0
     power = rr ** 0
     for c in gamma_ratios(two_lam, order):
+        if not power:
+            break  # every later term adds exactly 0
         partial += c * power
         power *= rr
-    return closed - partial if exact else max(closed - partial, 0.0)
+    if exact:
+        return closed - partial
+    return max(closed - partial, 0.0) if isfinite(partial) else inf
 
 
 @dataclass(frozen=True)
@@ -341,6 +342,8 @@ def derivative_interchange_check(lam, t, r, order: int) -> DerivativeInterchange
     partial = 0.0
     power = r_f
     for c in _float_values(lam_f + 1.0, t_f, order - 1):
+        if not power:
+            break  # every later term adds exactly 0
         partial += 2.0 * lam_f * c * power
         power *= r_f
     residual = abs(closed - partial)

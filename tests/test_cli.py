@@ -248,6 +248,23 @@ class TestDerivCheck:
         assert abs(float(lines["partial_sum"]) - 2.17365052530) <= 1e-10
         assert lines["status"] == "pass"
 
+    def test_underflowed_power_ends_the_sum(self, runner):
+        # closed form 119.88; the coefficients overflow only after r^k has underflowed to 0
+        res = invoke(runner, "deriv-check", "--lambda", "300", "--t", "0.5", "--r", "0.01",
+                     "--order", "2000")
+        assert res.exit_code == 0
+        lines = dict(line.split("=", 1) for line in res.output.splitlines())
+        assert abs(float(lines["closed_form"]) - 119.882015647) <= 1e-6
+        assert float(lines["residual"]) <= 1e-10 and lines["status"] == "pass"
+
+    def test_overflowing_majorant_sum_is_usage_error(self, runner):
+        # the majorant's partial sum overflows, so no tail budget can be certified
+        res = invoke(runner, "deriv-check", "--lambda", "300", "--t", "0.5", "--r", "0.5",
+                     "--order", "700")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines()[-1] == "Error: float overflow: result is not finite"
+
     def test_json_has_budget_record(self, runner):
         res = invoke(runner, "deriv-check", "--lambda", "1", "--t", "0", "--r", "0.3",
                      "--order", "40", "--format", "json")
@@ -395,6 +412,23 @@ class TestFormatsAgree:
         for crow, jrow in zip(csv_rows, json_rows):
             for key in ("lambda", "m", "check", "value_or_lhs", "rhs", "residual", "status"):
                 assert crow[key] == json_cell(jrow[key])
+
+    @pytest.mark.parametrize("args", [
+        ("table", "--lambda", "1", "--order", "3"),
+        ("table", "--lambda", "2", "--order", "3", "--route", "recurrence"),
+        ("verify", "--lambda-list", "1,2", "--m-max", "3"),
+        ("eval", "--lambda", "2", "--degree", "3", "--t", "1"),
+        ("at-one", "--lambda", "2", "--degree", "0"),
+    ])
+    def test_json_quotes_every_exact_value(self, runner, args):
+        # integer literals are exact: an int in a record would print as a bare number
+        res = invoke(runner, *args, "--format", "json")
+        assert res.exit_code == 0
+        for rec in parse_jsonl(res.stdout):
+            assert isinstance(rec.pop("m"), int)
+            for value in rec.values():
+                assert value is None or isinstance(value, str) or (
+                    isinstance(value, list) and all(isinstance(v, str) for v in value))
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 """Coefficient field realizations and scalar literals."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,11 @@ class TestLiterals:
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_format_float_round_trips(self, x):
         assert float(format_float(x)) == x
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_json_writes_a_float_as_format_float(self, x):
+        # the CLI's json lines leave float text to `json`
+        assert json.dumps(x) == format_float(x)
 
 
 class TestCoercion:

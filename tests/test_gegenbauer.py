@@ -56,6 +56,30 @@ class TestParams:
         assert GegenbauerParams(1, 4).field is EXACT  # ints promote to Fraction
         assert GegenbauerParams(0.5, 4).field is FLOAT64
 
+    def test_modes_compare_unequal(self):
+        # Fraction(5, 2) == 2.5, but the two select different fields
+        exact, approx = GegenbauerParams(Fraction(5, 2), 4), GegenbauerParams(2.5, 4)
+        assert exact != approx and exact == GegenbauerParams(Fraction(5, 2), 4)
+        assert table_via_recurrence(exact) != table_via_recurrence(approx)
+        assert {exact, approx, GegenbauerParams(2.5, 4)} == {exact, approx}
+
+    def test_tables_hash_as_set_members(self):
+        tbl = table_via_recurrence(GegenbauerParams(Fraction(7, 3), 6))
+        tbl2 = table_via_composition(GegenbauerParams(Fraction(7, 3), 6))
+        assert {tbl, tbl2} == {tbl2, tbl} and len({tbl, tbl2}) == 2
+        assert {tbl, tbl2, table_via_recurrence(GegenbauerParams(Fraction(7, 3), 6))} == {tbl, tbl2}
+
+    @pytest.mark.parametrize("call", [
+        lambda: GegenbauerParams(2.5, True),
+        lambda: table_via_recurrence(GegenbauerParams(Fraction(5, 2), 4)).evaluate(True, 0.5),
+        lambda: table_via_recurrence(GegenbauerParams(2.5, 4)).evaluate(False, 0.5),
+        lambda: value_via_recurrence(2.5, True, 0.5),
+        lambda: value_via_recurrence(Fraction(5, 2), False, Fraction(1, 2)),
+    ], ids=["params", "evaluate-exact", "evaluate-float", "value", "value-exact"])
+    def test_bool_index_is_rejected(self, call):
+        with pytest.raises(ValueError, match="must be a nonnegative integer"):
+            call()
+
 
 class TestComposition:
     def test_chebyshev_u_start(self):
@@ -249,6 +273,13 @@ class TestDeferredRows:
         want = [[c.hex() for c in row] for row in generic_float_recurrence(2.5, 120)]
         for rows in seen + [tbl.polys]:
             assert [[c.hex() for c in p.coeffs] for p in rows] == want
+
+    def test_float_equality_builds_no_rows(self, row_builds):
+        params = GegenbauerParams(2.5, 400)
+        assert table_via_recurrence(params) == table_via_recurrence(params)
+        assert table_via_recurrence(params) != table_via_recurrence(GegenbauerParams(2.5, 399))
+        assert hash(table_via_recurrence(params)) == hash(table_via_recurrence(params))
+        assert row_builds == []
 
     def test_equality_compares_params_route_and_rows(self):
         for lam in (Fraction(7, 3), 7 / 3):
@@ -526,6 +557,15 @@ class TestMajorantTail:
             majorant_tail(400.0, 5, 0.9)
         assert str(exc.value) == f"{MAJORANT} is not finite"
 
+    def test_overflowing_partial_sum_is_inf(self):
+        # (600)_k / k! overflows at k = 440, where 0.5^k is still 1e-133; the true tail is 1.05e178
+        assert majorant_tail(300.0, 700, 0.5) == math.inf
+
+    def test_underflowed_power_ends_the_sum(self):
+        # 0.01^k underflows to 0 at k = 162, while (600)_k / k! overflows only at k = 440
+        tail = majorant_tail(300.0, 2000, 0.01)
+        assert math.isfinite(tail) and tail.hex() == majorant_tail(300.0, 200, 0.01).hex()
+
     @pytest.mark.parametrize("bad_r", [0.0, 1.0, -0.5, 1.5, Fraction(0), Fraction(1)])
     def test_r_domain(self, bad_r):
         with pytest.raises(ValueError):
@@ -592,6 +632,12 @@ class TestDerivativeInterchange:
                     rep = derivative_interchange_check(lam, t, r, 45)
                     slack = 1e-10 * (1.0 + abs(rep.closed_form))
                     assert rep.residual <= rep.tail_budget + slack
+
+    def test_underflowed_power_ends_the_partial_sum(self):
+        # the lam + 1 values overflow after r^k has underflowed to 0; inf * 0 would be nan
+        rep = derivative_interchange_check(300.0, 0.5, 0.01, 2000)
+        assert rep.residual <= 1e-10 and rep.residual <= rep.tail_budget
+        assert rep.partial_sum == derivative_interchange_check(300.0, 0.5, 0.01, 200).partial_sum
 
     @pytest.mark.parametrize("t, order, form", [
         (0.99, 4, "closed form (1 - 2rt + r^2)^(-lam-1)"),  # 0.0199^(-301)

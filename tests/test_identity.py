@@ -109,6 +109,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep([Fraction(1), Fraction(0)], 3)
 
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), 0.5])
+    def test_bool_m_max_is_rejected(self, lam):
+        with pytest.raises(ValueError, match="m_max must be a nonnegative integer"):
+            sweep([lam], True)
+
 
 class TestSweepKernel:
     """sweep builds each lam's running products once and steps its binomial row
