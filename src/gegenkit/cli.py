@@ -42,7 +42,7 @@ M_MAX_LIMIT = 10_000
 """Largest `verify --m-max`, `at-one --degree`, `eval --degree` and `deriv-check --order`: O(m) work."""
 ORDER_LIMIT = 1_000
 """Largest `table --order` on the recurrence route: a table of O(N^2) entries."""
-COMPOSITION_LIMIT = 200
+COMPOSITION_LIMIT = 400
 """Largest `table --order` on the composition route, whose exact cost grows faster than N^3."""
 
 FIELDS = ("lambda", "m", "check", "value_or_lhs", "rhs", "residual", "status")

@@ -3,7 +3,8 @@
 Scalars are plain Python values and combine through their own operators; a
 `CoefficientField` supplies the constants and the coercion rule of one
 realization: `EXACT` (``fractions.Fraction``, canonical after every
-operation), `FLOAT64` (IEEE-754 doubles) and, in `polynomials`, `POLY_EXACT`.
+operation), `FLOAT64` (IEEE-754 doubles), the integer ring `INT` and, in
+`polynomials`, the polynomial rings `POLY_EXACT` and `POLY_INT`.
 The module also owns the Cauchy product that `Polynomial` multiplication and
 `series_mul` share, with the check that both operands share a field.
 
@@ -25,6 +26,7 @@ __all__ = [
     "CoefficientField",
     "EXACT",
     "FLOAT64",
+    "INT",
     "FieldMismatchError",
     "parse_exact",
     "parse_scalar",
@@ -79,8 +81,15 @@ def _to_float(value) -> float:
     raise TypeError(f"cannot coerce {type(value).__name__} into the float64 field")
 
 
+def _to_int(value) -> int:
+    if type(value) is int:  # not a bool, and no Fraction or float however integral
+        return value
+    raise TypeError(f"cannot coerce {type(value).__name__} into the int ring")
+
+
 EXACT = CoefficientField("exact", Fraction(0), Fraction(1), _to_fraction)
 FLOAT64 = CoefficientField("float64", 0.0, 1.0, _to_float)
+INT = CoefficientField("int", 0, 1, _to_int)
 
 
 def _common_field(a, b) -> CoefficientField:

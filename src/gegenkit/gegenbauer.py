@@ -5,10 +5,13 @@ routes:
 
 * composition  -- expand sum_j C(-lam, j) (r^2 - 2 t r)^j over polynomial
   coefficients and collect powers of r; exact, yields whole polynomials.
+  It runs over integer polynomials on q^N N! C_m (lam = p/q) and reduces
+  each coefficient once.
 * recurrence   -- C_0 = 1, C_1 = 2 lam t,
   m C_m = 2 t (m + lam - 1) C_{m-1} - (m + 2 lam - 2) C_{m-2};
-  works over exact rationals or floats.  Exact mode (lam = p/q) runs in
-  integers on q^m m! C_m and reduces each coefficient once.
+  works over exact rationals or floats.  Exact mode (lam = p/q) carries
+  each row in integers as R_m / d_m, divided by the gcd of d_m and the row,
+  and reduces each coefficient once against that d_m.
   `value_via_recurrence` runs the same recurrence on values at one t, in
   O(m) steps and with no table (exact t = u/v: in integers, one reduction).
   Float `eval`, float tables' `evaluate` and the derivative check use it;
@@ -31,12 +34,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, count, islice
-from math import factorial, inf, isfinite
+from math import factorial, gcd, inf, isfinite, lcm
 
-from .coefficients import (_check_index, check_lambda, gamma_ratio_coefficient, gamma_ratios,
-                           signed_binomial)
-from .fields import EXACT, FLOAT64, CoefficientField
-from .polynomials import POLY_EXACT, Polynomial
+from .coefficients import _check_index, check_lambda, gamma_ratio_coefficient, gamma_ratios
+from .fields import EXACT, FLOAT64, INT, CoefficientField
+from .polynomials import POLY_INT, Polynomial
 from .series import TruncatedSeries, compose_inner_polynomial
 
 __all__ = [
@@ -101,15 +103,12 @@ class GegenbauerTable:
     @cached_property
     def polys(self) -> tuple:
         f, n, lam = self.params.field, self.params.order, self.params.lam
-        if self.route is Route.COMPOSITION:
-            inner = TruncatedSeries([0, Polynomial([0, -2]), 1], POLY_EXACT)
-            return compose_inner_polynomial(lambda j: signed_binomial(lam, j), inner, n).coeffs
         if f is EXACT:
             p, q = lam.numerator, lam.denominator
-            steps = islice(_exact_steps(p, q), 1, n)
-            scales = accumulate(range(1, n + 1), lambda s, m: s * m * q, initial=1)
-            return tuple(Polynomial._of([Fraction(c, s) if c else f.zero for c in row], f)
-                         for row, s in zip(_parity_rows([0, 2 * p], steps), scales))
+            rows = (_composition_rows(p, q, n) if self.route is Route.COMPOSITION
+                    else islice(_exact_rows(p, q), n + 1))
+            return tuple(Polynomial._of([Fraction(c, d) if c else f.zero for c in row], f)
+                         for row, d in rows)
         steps = ((2 * (m + lam - 1) / m, (m + 2 * lam - 2) / m) for m in range(2, n + 1))
         rows = islice(_parity_rows([f.zero, 2 * lam], steps), n + 1)
         return tuple(Polynomial._of(row, f) for row in rows)
@@ -133,29 +132,73 @@ def table_via_composition(params: GegenbauerParams) -> GegenbauerTable:
     """Expand the generating function symbolically in t; exact mode only.
 
     The inner polynomial r^2 - 2 t r has valuation 1, so collecting powers of r from sum_j
-    C(-lam, j) (r^2 - 2 t r)^j through j = N yields every exact C_m, m <= N.
+    C(-lam, j) (r^2 - 2 t r)^j through j = N yields every exact C_m, m <= N.  The sum runs
+    over integer polynomials, scaled by q^N N! for lam = p/q (`_composition_rows`).
     """
     return GegenbauerTable(params, Route.COMPOSITION)
 
 
+def _composition_rows(p: int, q: int, n: int):
+    """(row_m, q^n n!) for m = 0..n, row_m the integer coefficients of q^n n! C_m, lam = p/q.
+
+    The outer coefficients c_j = q^n n! C(-lam, j) = (-1)^j q^(n-j) (n!/j!) prod_{i<j} (p + i q)
+    are integers, stepped as c_{j+1} = -c_j (p + j q) / (q (j+1)) by exact division, and
+    the inner series r^2 - 2 t r is integral, so the whole expansion runs over `POLY_INT`.
+    """
+    scale = q**n * factorial(n)
+    outer = list(accumulate(range(n), lambda c, j: -c * (p + j * q) // (q * (j + 1)),
+                            initial=scale))
+    inner = TruncatedSeries([0, Polynomial([0, -2], INT), 1], POLY_INT)
+    return ((poly.coeffs, scale)
+            for poly in compose_inner_polynomial(outer.__getitem__, inner, n).coeffs)
+
+
+def _next_row(a, b, row: list, older: list, zero) -> list:
+    """a t row - b older, the row after `row` of a three-term recurrence.
+
+    The new row m = len(row) holds only powers of the parity of m, so only those
+    entries are computed; the others stay `zero`.  Each computed entry is
+    a * row[j-1] - b * older[j], a missing term counting as `zero`.
+    """
+    m = len(row)
+    out = [zero] * (m + 1)
+    s = m % 2
+    out[s::2] = [a * x - b * y for x, y in zip(([zero] + row)[s::2], (older + [zero, zero])[s::2])]
+    return out
+
+
 def _parity_rows(first: list, steps):
     """Coefficient rows of a three-term recurrence: [1], `first`, then for m = 2, 3, ...
-    row_m = a t row_{m-1} - b row_{m-2}, with (a, b) the m-th item of `steps`.
-
-    Row m holds only powers of the parity of m, so only those entries are
-    computed; the others stay the zero of `first`.  Each computed entry is
-    a * row_{m-1}[j-1] - b * row_{m-2}[j], a missing term counting as that zero.
-    """
+    row_m = a t row_{m-1} - b row_{m-2} (`_next_row`), with (a, b) the m-th item of `steps`."""
     zero = first[0]
     older, row = [zero + 1], first
     yield older
     yield row
-    for m, (a, b) in enumerate(steps, 2):
-        shifted, padded = [zero] + row, older + [zero, zero]
-        older, row = row, [zero] * (m + 1)
-        s = m % 2
-        row[s::2] = [a * x - b * y for x, y in zip(shifted[s::2], padded[s::2])]
+    for a, b in steps:
+        older, row = row, _next_row(a, b, row, older, zero)
         yield row
+
+
+def _exact_rows(p: int, q: int):
+    """(R_m, d_m) for m = 0, 1, ...: C_m = R_m / d_m in integers, lam = p/q, with
+    gcd(d_m, *R_m) = 1, so d_m is the lcm of the reduced denominators of row m.
+
+    With L = lcm(d_{m-1}, d_{m-2}) and (a_m, b_m) from `_exact_steps`, row m is
+    a_m (m-1) q (L / d_{m-1}) t R_{m-1} - b_m (L / d_{m-2}) R_{m-2} over m (m-1) q^2 L,
+    and both are divided by their gcd.  So each row is carried reduced, and the
+    per-coefficient reduction R_m[j] / d_m works on numbers no larger than it needs.
+    """
+    g = gcd(2 * p, q)
+    older, d_older, row, d = [1], 1, [0, 2 * p // g], q // g
+    yield older, d_older
+    yield row, d
+    for m, (a, b) in enumerate(islice(_exact_steps(p, q), 1, None), 2):
+        common = lcm(d, d_older)
+        new = _next_row(a * (m - 1) * q * (common // d), b * (common // d_older), row, older, 0)
+        den = m * (m - 1) * q * q * common
+        g = gcd(den, *new)
+        older, d_older, row, d = row, d, [x // g for x in new], den // g
+        yield row, d
 
 
 def _exact_steps(p: int, q: int):
@@ -167,9 +210,10 @@ def _exact_steps(p: int, q: int):
 def table_via_recurrence(params: GegenbauerParams) -> GegenbauerTable:
     """Three-term recurrence in either field; validated elsewhere against composition.
 
-    Exact lam = p/q runs in integers on D_m = q^m m! C_m (`_exact_steps`)
-    and reduces each nonzero coefficient once, as D_m[j] / (q^m m!).  Float
-    mode runs m C_m = 2 t (m + lam - 1) C_{m-1} - (m + 2 lam - 2) C_{m-2}.
+    Exact lam = p/q runs in integers on rows C_m = R_m / d_m kept with
+    gcd(d_m, *R_m) = 1 (`_exact_rows`, on the steps of `_exact_steps`), and
+    reduces each nonzero coefficient once, as R_m[j] / d_m.  Float mode runs
+    m C_m = 2 t (m + lam - 1) C_{m-1} - (m + 2 lam - 2) C_{m-2}.
     Both touch only the entries of the parity of m; float rows wait for a read of `polys`.
     """
     return GegenbauerTable(params, Route.RECURRENCE)

@@ -1,15 +1,16 @@
-"""Dense univariate polynomials over a coefficient field, and POLY_EXACT.
+"""Dense univariate polynomials over a coefficient field, and POLY_EXACT and POLY_INT.
 
-`POLY_EXACT` is the coefficient field whose scalars are exact polynomials in
-t, so a series in r can carry whole polynomials as coefficients.  The product
-is the Cauchy product that `series_mul` also runs (`fields._cauchy`).
+`POLY_EXACT` and `POLY_INT` are the coefficient fields whose scalars are
+polynomials in t over `EXACT` and over the integer ring `INT`, so a series in
+r can carry whole polynomials as coefficients.  The product is the Cauchy
+product that `series_mul` also runs (`fields._cauchy`).
 """
 
 from __future__ import annotations
 
-from .fields import EXACT, CoefficientField, FieldMismatchError, _cauchy, _common_field
+from .fields import EXACT, INT, CoefficientField, FieldMismatchError, _cauchy, _common_field
 
-__all__ = ["Polynomial", "POLY_EXACT"]
+__all__ = ["Polynomial", "POLY_EXACT", "POLY_INT"]
 
 
 class Polynomial:
@@ -86,13 +87,20 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
-def _to_polynomial(value) -> Polynomial:
-    if isinstance(value, Polynomial):
-        if value.field is not EXACT:
-            raise FieldMismatchError(f"polynomial over {value.field.name} in a poly[exact] series")
-        return value
-    return Polynomial([EXACT.coerce(value)])
+def _polynomial_ring(f: CoefficientField) -> CoefficientField:
+    """Polynomials in t over `f` as series coefficients: a ring, which is all series
+    arithmetic needs.  A scalar coerces, through `f`, to a constant polynomial."""
+    name = f"poly[{f.name}]"
+
+    def coerce(value) -> Polynomial:
+        if isinstance(value, Polynomial):
+            if value.field is not f:
+                raise FieldMismatchError(f"polynomial over {value.field.name} in a {name} series")
+            return value
+        return Polynomial([value], f)
+
+    return CoefficientField(name, Polynomial([f.zero], f), Polynomial([f.one], f), coerce)
 
 
-POLY_EXACT = CoefficientField("poly[exact]", Polynomial([0]), Polynomial([1]), _to_polynomial)
-"""Exact polynomials in t as series coefficients: a ring, which is all series arithmetic needs."""
+POLY_EXACT = _polynomial_ring(EXACT)
+POLY_INT = _polynomial_ring(INT)

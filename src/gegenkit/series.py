@@ -6,7 +6,8 @@ the degree: trailing zeros are data and are never stripped.  Binary
 operations truncate to the smaller operand's order, so every retained
 coefficient is fully determined -- nothing is padded with invented zeros.
 `series_mul` is the Cauchy product `Polynomial` multiplication shares, and
-the composition route runs `compose_inner_polynomial` over `POLY_EXACT`.
+the composition route runs `compose_inner_polynomial` over integer
+polynomials, `POLY_INT`.
 """
 
 from __future__ import annotations

@@ -79,6 +79,22 @@ def gegenbauer_coeff_lists(lam: Fraction, n: int):
     return lists
 
 
+def explicit_coeff_lists(lam: Fraction, n: int):
+    """Coefficient lists of C_0..C_n in t from the explicit sum (DLMF 18.5.10): the
+    coefficient of t^(m-2k) in C_m is (-1)^k (lam)_{m-k} 2^(m-2k) / (k! (m-2k)!)."""
+    rising = [Fraction(1)]
+    for j in range(n):
+        rising.append(rising[-1] * (lam + j))
+    lists = []
+    for m in range(n + 1):
+        row = [Fraction(0)] * (m + 1)
+        for k in range(m // 2 + 1):
+            row[m - 2 * k] = ((-1) ** k * rising[m - k] * 2 ** (m - 2 * k)
+                              / (math.factorial(k) * math.factorial(m - 2 * k)))
+        lists.append(row)
+    return lists
+
+
 def explicit_value(lam, m: int, t):
     """C_m(t) = sum_k (-1)^k (lam)_{m-k} (2t)^{m-2k} / (k! (m-2k)!), the explicit sum (DLMF 18.5.10)."""
     rising = [lam ** 0]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gegenkit.fields import (
     EXACT,
     FLOAT64,
+    INT,
     FieldMismatchError,
     format_exact,
     format_float,
@@ -78,6 +79,18 @@ class TestCoercion:
         assert FLOAT64.coerce(2) == 2.0
         with pytest.raises(TypeError):
             FLOAT64.coerce(object())
+
+    def test_int_coerce(self):
+        big = 3**400
+        assert INT.coerce(big) is big and INT.coerce(-7) == -7
+        assert type(INT.zero) is int and type(INT.one) is int
+
+    @pytest.mark.parametrize("value", [Fraction(2), Fraction(1, 2), 2.0, True, False, object()],
+                             ids=repr)
+    def test_int_coerce_takes_only_int(self, value):
+        # an integral Fraction or float and a bool are refused, not rounded or promoted
+        with pytest.raises(TypeError, match="int ring"):
+            INT.coerce(value)
 
     def test_mismatch_error_is_value_error(self):
         assert issubclass(FieldMismatchError, ValueError)

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -26,11 +27,13 @@ from gegenkit.gegenbauer import (
 )
 from gegenkit.polynomials import Polynomial
 
-from oracles import (chebyshev_u_value, derivative, explicit_value, gegenbauer_coeff_lists,
-                     pochhammer)
+from oracles import (chebyshev_u_value, derivative, explicit_coeff_lists, explicit_value,
+                     gegenbauer_coeff_lists, pochhammer)
 from test_identity import positive_rationals
 
 LAMBDAS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3)]
+# small, large and three-digit p and q: the bit sizes the exact routes reduce
+WIDE_LAMBDAS = [Fraction(1, 199), Fraction(92, 29), Fraction(251, 185), Fraction(400, 3)]
 MAJORANT = "majorant closed form (1 - r)^(-2 lam)"
 
 
@@ -189,8 +192,8 @@ def generic_float_recurrence(lam: float, n: int) -> list:
 
 
 class TestRecurrenceKernels:
-    """The exact branch runs in integers on q^m m! C_m; the float branch is the generic loop
-    restricted to the entries of the parity of m, and keeps its bits."""
+    """The exact branch runs in integers on rows R_m / d_m kept primitive; the float branch is
+    the generic loop restricted to the entries of the parity of m, and keeps its bits."""
 
     @settings(max_examples=40, deadline=None)
     @given(positive_rationals, st.integers(min_value=0, max_value=40))
@@ -203,6 +206,14 @@ class TestRecurrenceKernels:
     def test_integer_and_even_denominator_lambdas(self, lam):
         tbl = table_via_recurrence(GegenbauerParams(lam, 30))
         assert [list(p.coeffs) for p in tbl.polys] == gegenbauer_coeff_lists(Fraction(lam), 30)
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(17, 7), *WIDE_LAMBDAS], ids=str)
+    def test_exact_rows_are_primitive(self, lam):
+        # C_m = R_m / d_m with gcd(d_m, *R_m) = 1, so d_m is the lcm of the reduced denominators
+        rows = islice(gegenbauer._exact_rows(lam.numerator, lam.denominator), 121)
+        for m, (row, d) in enumerate(rows):
+            assert len(row) == m + 1 and d > 0 and math.gcd(d, *row) == 1
+            assert math.lcm(*(Fraction(c, d).denominator for c in row)) == d
 
     def test_exact_equals_composition_at_high_degree(self):
         params = GegenbauerParams(Fraction(17, 7), 120)
@@ -219,15 +230,18 @@ class TestRecurrenceKernels:
 
 @pytest.fixture
 def row_builds(monkeypatch):
-    """Records each call of the recurrence's row builder, `gegenbauer._parity_rows`."""
+    """Records the name of each call of a row builder: `gegenbauer._parity_rows` (float
+    recurrence), `_exact_rows` (exact recurrence) and `_composition_rows`."""
     calls = []
-    build = gegenbauer._parity_rows
 
-    def counting(*args):
-        calls.append(args)
-        return build(*args)
+    def counting(name, build):
+        def wrapper(*args):
+            calls.append(name)
+            return build(*args)
+        return wrapper
 
-    monkeypatch.setattr(gegenbauer, "_parity_rows", counting)
+    for name in ("_parity_rows", "_exact_rows", "_composition_rows"):
+        monkeypatch.setattr(gegenbauer, name, counting(name, getattr(gegenbauer, name)))
     return calls
 
 
@@ -250,10 +264,17 @@ class TestDeferredRows:
 
     def test_exact_rows_are_built_with_the_table(self, row_builds):
         tbl = table_via_recurrence(GegenbauerParams(Fraction(3, 2), 40))
-        assert len(row_builds) == 1
+        assert row_builds == ["_exact_rows"]
         assert tbl.evaluate(40, Fraction(1, 3)) == value_via_recurrence(Fraction(3, 2), 40,
                                                                          Fraction(1, 3))
-        assert len(tbl.polys) == 41 and len(row_builds) == 1
+        assert len(tbl.polys) == 41 and row_builds == ["_exact_rows"]
+
+    def test_composition_rows_are_built_with_the_table(self, row_builds):
+        tbl = table_via_composition(GegenbauerParams(Fraction(3, 2), 40))
+        assert row_builds == ["_composition_rows"]
+        assert tbl.evaluate(40, Fraction(1, 3)) == value_via_recurrence(Fraction(3, 2), 40,
+                                                                         Fraction(1, 3))
+        assert len(tbl.polys) == 41 and row_builds == ["_composition_rows"]
 
     def test_concurrent_first_reads_agree(self):
         # cached_property takes no lock from Python 3.12 on: threads may each build the rows
@@ -296,6 +317,13 @@ class TestRouteAgreement:
         for lam in LAMBDAS:
             params = GegenbauerParams(lam, 25)
             assert table_via_composition(params).polys == table_via_recurrence(params).polys
+
+    @pytest.mark.parametrize("lam", WIDE_LAMBDAS, ids=str)
+    @pytest.mark.parametrize("build", [table_via_recurrence, table_via_composition])
+    def test_exact_routes_equal_explicit_sum(self, build, lam):
+        tbl = build(GegenbauerParams(lam, 120))
+        assert [list(p.coeffs) for p in tbl.polys] == explicit_coeff_lists(lam, 120)
+        assert all(type(c) is Fraction for p in tbl.polys for c in p.coeffs)
 
 
 @pytest.fixture(scope="module")

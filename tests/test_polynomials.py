@@ -1,12 +1,12 @@
-"""Dense polynomial type and the polynomial-coefficients field POLY_EXACT."""
+"""Dense polynomial type and the polynomial-coefficients fields POLY_EXACT and POLY_INT."""
 
 import math
 from fractions import Fraction
 
 import pytest
 
-from gegenkit.fields import FLOAT64, FieldMismatchError
-from gegenkit.polynomials import POLY_EXACT, Polynomial
+from gegenkit.fields import EXACT, FLOAT64, INT, FieldMismatchError
+from gegenkit.polynomials import POLY_EXACT, POLY_INT, Polynomial
 
 from oracles import full_convolution
 
@@ -118,6 +118,15 @@ class TestPolynomialCoefficients:
         assert POLY_EXACT.coerce(0.5) == Polynomial([Fraction(1, 2)])
         with pytest.raises(FieldMismatchError):
             POLY_EXACT.coerce(Polynomial([1.0], FLOAT64))
+
+    def test_integer_polynomials(self):
+        assert POLY_INT.zero == Polynomial([0], INT) and POLY_INT.one == Polynomial([1], INT)
+        assert POLY_INT.coerce(-2) == Polynomial([-2], INT)
+        assert POLY_INT.coerce(Polynomial([0, -2], INT)) == Polynomial([0, -2], INT)
+        with pytest.raises(FieldMismatchError):
+            POLY_INT.coerce(Polynomial([1, 2], EXACT))
+        with pytest.raises(TypeError):
+            POLY_INT.coerce(Fraction(2))
 
     def test_ring_ops_via_field_interface(self):
         f = POLY_EXACT
