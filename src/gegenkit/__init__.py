@@ -10,7 +10,7 @@ and verifies the rising-factorial convolution identity
 exactly over the rationals and to tolerance over floats.
 """
 
-from .coefficients import gamma_ratio_coefficient, gamma_ratios, signed_binomial
+from .coefficients import gamma_ratio_coefficient, gamma_ratios
 from .fields import (
     EXACT,
     FLOAT64,
@@ -38,8 +38,8 @@ from .gegenbauer import (
     value_via_recurrence,
 )
 from .identity import IdentityReport, identity_lhs, identity_rhs, sweep, verify
-from .polynomials import POLY_EXACT, Polynomial
-from .series import TruncatedSeries, compose_inner_polynomial, series_add, series_mul
+from .polynomials import Polynomial
+from .series import TruncatedSeries, compose_inner_polynomial, series_mul
 
 __version__ = "0.1.0"
 
@@ -56,11 +56,8 @@ __all__ = [
     "format_scalar",
     "gamma_ratios",
     "gamma_ratio_coefficient",
-    "signed_binomial",
     "Polynomial",
-    "POLY_EXACT",
     "TruncatedSeries",
-    "series_add",
     "series_mul",
     "compose_inner_polynomial",
     "Route",

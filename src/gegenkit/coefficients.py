@@ -19,7 +19,6 @@ __all__ = [
     "check_lambda",
     "gamma_ratios",
     "gamma_ratio_coefficient",
-    "signed_binomial",
 ]
 
 
@@ -36,7 +35,7 @@ def check_lambda(lam):
         if lam <= 0.0:
             raise ValueError("lambda must be positive")
         return lam
-    if not isinstance(lam, (int, Fraction)):
+    if not isinstance(lam, (int, Fraction)) or isinstance(lam, bool):
         raise TypeError(f"lambda must be a Fraction or float, got {type(lam).__name__}")
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -77,8 +76,3 @@ def gamma_ratio_coefficient(x, m: int):
     q = x.denominator
     return Fraction(_rising_products(x.numerator, q, m)[m], q**m * math.factorial(m))
 
-
-def signed_binomial(lam, m: int):
-    """Binomial coefficient with negated upper index: C(-lam, m) = (-1)^m (lam)_m / m!."""
-    c = gamma_ratio_coefficient(lam, m)
-    return -c if m % 2 else c

@@ -4,7 +4,7 @@ Scalars are plain Python values and combine through their own operators; a
 `CoefficientField` supplies the constants and the coercion rule of one
 realization: `EXACT` (``fractions.Fraction``, canonical after every
 operation), `FLOAT64` (IEEE-754 doubles), the integer ring `INT` and, in
-`polynomials`, the polynomial rings `POLY_EXACT` and `POLY_INT`.
+`polynomials`, the ring `POLY_INT` of integer polynomials.
 The module also owns the Cauchy product that `Polynomial` multiplication and
 `series_mul` share, with the check that both operands share a field.
 

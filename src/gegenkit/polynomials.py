@@ -1,16 +1,16 @@
-"""Dense univariate polynomials over a coefficient field, and POLY_EXACT and POLY_INT.
+"""Dense univariate polynomials over a coefficient field, and POLY_INT.
 
-`POLY_EXACT` and `POLY_INT` are the coefficient fields whose scalars are
-polynomials in t over `EXACT` and over the integer ring `INT`, so a series in
-r can carry whole polynomials as coefficients.  The product is the Cauchy
-product that `series_mul` also runs (`fields._cauchy`).
+`POLY_INT` is the coefficient field whose scalars are polynomials in t over
+the integer ring `INT`, so a series in r can carry whole polynomials as
+coefficients.  The product of two polynomials is the Cauchy product that
+`series_mul` also runs (`fields._cauchy`).
 """
 
 from __future__ import annotations
 
 from .fields import EXACT, INT, CoefficientField, FieldMismatchError, _cauchy, _common_field
 
-__all__ = ["Polynomial", "POLY_EXACT", "POLY_INT"]
+__all__ = ["Polynomial", "POLY_INT"]
 
 
 class Polynomial:
@@ -18,9 +18,10 @@ class Polynomial:
 
     Trailing zero coefficients are stripped on construction; the canonical
     zero polynomial is the single-entry list [0], the one falsy polynomial.
-    `+` and `*` skip zero coefficients, which changes no exact value; over
-    floats a -0.0 can then survive where -0.0 + 0.0 would give 0.0.  No
-    library float path uses these operators.
+    `+` and `*` take a polynomial over the same field, never a scalar, and
+    skip zero coefficients, which changes no exact value; over floats a -0.0
+    can then survive where -0.0 + 0.0 would give 0.0.  No library float path
+    uses these operators.
     """
 
     __slots__ = ("field", "coeffs")
@@ -62,14 +63,10 @@ class Polynomial:
         return Polynomial._of(out, f)
 
     def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            out = _cauchy(self, other, len(self.coeffs) + len(other.coeffs) - 2)
-        else:
-            s = self.field.coerce(other)
-            out = [c * s if c else c for c in self.coeffs]
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        out = _cauchy(self, other, len(self.coeffs) + len(other.coeffs) - 2)
         return Polynomial._of(out, self.field)
-
-    __rmul__ = __mul__
 
     def evaluate(self, t):
         """Horner evaluation in this polynomial's own field (exact over Fraction)."""
@@ -87,20 +84,14 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
-def _polynomial_ring(f: CoefficientField) -> CoefficientField:
-    """Polynomials in t over `f` as series coefficients: a ring, which is all series
-    arithmetic needs.  A scalar coerces, through `f`, to a constant polynomial."""
-    name = f"poly[{f.name}]"
-
-    def coerce(value) -> Polynomial:
-        if isinstance(value, Polynomial):
-            if value.field is not f:
-                raise FieldMismatchError(f"polynomial over {value.field.name} in a {name} series")
-            return value
-        return Polynomial([value], f)
-
-    return CoefficientField(name, Polynomial([f.zero], f), Polynomial([f.one], f), coerce)
+def _to_int_polynomial(value) -> Polynomial:
+    """An integer polynomial as it is, an `int` as a constant polynomial; nothing else."""
+    if isinstance(value, Polynomial):
+        if value.field is not INT:
+            raise FieldMismatchError(f"polynomial over {value.field.name} in a poly[int] series")
+        return value
+    return Polynomial([value], INT)
 
 
-POLY_EXACT = _polynomial_ring(EXACT)
-POLY_INT = _polynomial_ring(INT)
+POLY_INT = CoefficientField("poly[int]", Polynomial([0], INT), Polynomial([1], INT),
+                            _to_int_polynomial)

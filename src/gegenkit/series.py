@@ -2,19 +2,19 @@
 
 A series of order N stores the coefficients c_0..c_N of sum c_m r^m and all
 arithmetic happens modulo r^(N+1).  The order is the truncation order, not
-the degree: trailing zeros are data and are never stripped.  Binary
-operations truncate to the smaller operand's order, so every retained
-coefficient is fully determined -- nothing is padded with invented zeros.
-`series_mul` is the Cauchy product `Polynomial` multiplication shares, and
+the degree: trailing zeros are data and are never stripped.  The one binary
+operation, `series_mul`, truncates to the smaller operand's order, so every
+retained coefficient is fully determined -- nothing is padded with invented
+zeros.  It is the Cauchy product `Polynomial` multiplication shares, and
 the composition route runs `compose_inner_polynomial` over integer
 polynomials, `POLY_INT`.
 """
 
 from __future__ import annotations
 
-from .fields import CoefficientField, _cauchy, _common_field
+from .fields import CoefficientField, _cauchy
 
-__all__ = ["TruncatedSeries", "series_add", "series_mul", "compose_inner_polynomial"]
+__all__ = ["TruncatedSeries", "series_mul", "compose_inner_polynomial"]
 
 
 class TruncatedSeries:
@@ -43,11 +43,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({list(self.coeffs)!r}, field={self.field.name})"
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Coefficient-wise sum, truncated to min(a.order, b.order)."""
-    return TruncatedSeries([x + y for x, y in zip(a.coeffs, b.coeffs)], _common_field(a, b))
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

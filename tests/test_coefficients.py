@@ -8,11 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gegenkit.coefficients import (
-    gamma_ratio_coefficient,
-    gamma_ratios,
-    signed_binomial,
-)
+from gegenkit.coefficients import gamma_ratio_coefficient, gamma_ratios
 from gegenkit.gegenbauer import value_at_one
 from gegenkit.identity import identity_lhs
 
@@ -96,21 +92,9 @@ class TestGammaRatioCoefficient:
 
 
 class TestSignedBinomial:
-    def test_examples(self):
-        assert signed_binomial(Fraction(1), 2) == 1
-        assert signed_binomial(Fraction(2), 1) == -2
-        for lam in [Fraction(1, 2), Fraction(3), 1.5]:
-            assert signed_binomial(lam, 0) == 1
+    """C(-lam, m) = (-1)^m (lam)_m / m!, the composition route's outer coefficients."""
 
     def test_matches_falling_factorial_oracle(self):
         for lam in [Fraction(1, 2), Fraction(1), Fraction(7, 3), Fraction(4)]:
             for m in range(20):
-                assert signed_binomial(lam, m) == falling_binomial(-lam, m)
-
-    @given(
-        st.fractions(min_value=Fraction(1, 20), max_value=15, max_denominator=20),
-        st.integers(min_value=0, max_value=50),
-    )
-    def test_sign_alternates_with_parity(self, lam, m):
-        value = signed_binomial(lam, m)
-        assert (value > 0) == (m % 2 == 0)
+                assert (-1) ** m * gamma_ratio_coefficient(lam, m) == falling_binomial(-lam, m)

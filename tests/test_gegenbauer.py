@@ -25,6 +25,7 @@ from gegenkit.gegenbauer import (
     value_via_conjugate_product,
     value_via_recurrence,
 )
+from gegenkit.identity import sweep
 from gegenkit.polynomials import Polynomial
 
 from oracles import (chebyshev_u_value, derivative, explicit_coeff_lists, explicit_value,
@@ -82,6 +83,18 @@ class TestParams:
     def test_bool_index_is_rejected(self, call):
         with pytest.raises(ValueError, match="must be a nonnegative integer"):
             call()
+
+    @pytest.mark.parametrize("lam", [True, False])
+    @pytest.mark.parametrize("call", [
+        lambda lam: GegenbauerParams(lam, 3),
+        lambda lam: sweep([lam], 3),
+        lambda lam: value_at_one(lam, 3),
+        lambda lam: majorant_tail(lam, 3, 0.5),
+    ], ids=["params", "sweep", "at-one", "majorant"])
+    def test_bool_lambda_is_rejected(self, call, lam):
+        # a bool is an int to isinstance, but True must not run as lambda = 1
+        with pytest.raises(TypeError, match="lambda must be a Fraction or float, got bool"):
+            call(lam)
 
 
 class TestComposition:

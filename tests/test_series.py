@@ -1,5 +1,6 @@
 """Truncated series arithmetic: Cauchy product and composition."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,20 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gegenkit.coefficients import gamma_ratios
-from gegenkit.fields import EXACT, FLOAT64, FieldMismatchError
-from gegenkit.polynomials import POLY_EXACT, Polynomial
-from gegenkit.series import (
-    TruncatedSeries,
-    compose_inner_polynomial,
-    series_add,
-    series_mul,
-)
+from gegenkit.fields import EXACT, FLOAT64, INT, FieldMismatchError
+from gegenkit.polynomials import POLY_INT, Polynomial
+from gegenkit.series import TruncatedSeries, compose_inner_polynomial, series_mul
 
 from oracles import bivariate_product, falling_binomial, full_convolution
 
 
 def exact_series(coeffs):
     return TruncatedSeries([Fraction(c) for c in coeffs], EXACT)
+
+
+def add(a, b):
+    return TruncatedSeries([x + y for x, y in zip(a.coeffs, b.coeffs)], a.field)
 
 
 class TestSeriesBasics:
@@ -38,27 +38,6 @@ class TestSeriesBasics:
         assert TruncatedSeries.one(EXACT, 2).coeffs == (Fraction(1), Fraction(0), Fraction(0))
 
 
-class TestAdd:
-    def test_example(self):
-        a = exact_series([1, 1])
-        b = exact_series([1, -1])
-        assert series_add(a, b) == exact_series([2, 0])
-
-    def test_additive_identity_truncates_to_min(self):
-        a = exact_series([5, 6, 7, 8])
-        z = exact_series([0] * 6)
-        assert series_add(a, z) == a
-
-    def test_order_rule(self):
-        a = exact_series([1, 2, 3, 4])
-        b = exact_series([1, 2, 3, 4, 5, 6])
-        assert series_add(a, b).order == 3
-
-    def test_field_mismatch(self):
-        with pytest.raises(FieldMismatchError):
-            series_add(exact_series([1]), TruncatedSeries([1.0], FLOAT64))
-
-
 class TestMul:
     def test_telescoping_geometric(self):
         ones = exact_series([1, 1, 1, 1])
@@ -68,6 +47,9 @@ class TestMul:
     def test_multiplicative_identity(self):
         a = exact_series([3, -2, 5])
         assert series_mul(a, TruncatedSeries.one(EXACT, 2)) == a
+        # the product truncates to the smaller order, whichever operand is longer
+        assert series_mul(a, TruncatedSeries.one(EXACT, 5)) == a
+        assert series_mul(TruncatedSeries.one(EXACT, 5), a) == a
 
     def test_conjugate_pair_at_phi_zero(self):
         """(1-r)^(-lam) (1-r)^(-lam) = (1-r)^(-2 lam): the identity as a Cauchy product."""
@@ -90,13 +72,13 @@ class TestMul:
         rng = random.Random(13)
         for _ in range(40):
             n = rng.randint(0, 8)
-            a, b = ([[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-                      for _ in range(rng.randint(1, 4))] if rng.random() < 0.5 else [0]
-                     for _ in range(n + 1)] for _ in range(2))
+            a, b = ([[rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
+                     if rng.random() < 0.5 else [0] for _ in range(n + 1)] for _ in range(2))
             a[0] = b[n] = [0]
-            got = series_mul(TruncatedSeries(map(Polynomial, a), POLY_EXACT),
-                             TruncatedSeries(map(Polynomial, b), POLY_EXACT))
-            assert got.coeffs == tuple(map(Polynomial, bivariate_product(a, b, n)))
+            got = series_mul(TruncatedSeries([Polynomial(x, INT) for x in a], POLY_INT),
+                             TruncatedSeries([Polynomial(y, INT) for y in b], POLY_INT))
+            want = [Polynomial([int(c) for c in row], INT) for row in bivariate_product(a, b, n)]
+            assert list(got.coeffs) == want
 
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatchError):
@@ -116,9 +98,7 @@ class TestRingAxioms:
         a, b, c = triple
         assert series_mul(a, b) == series_mul(b, a)
         assert series_mul(series_mul(a, b), c) == series_mul(a, series_mul(b, c))
-        lhs = series_mul(a, series_add(b, c))
-        rhs = series_add(series_mul(a, b), series_mul(a, c))
-        assert lhs == rhs
+        assert series_mul(a, add(b, c)) == add(series_mul(a, b), series_mul(a, c))
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -135,8 +115,8 @@ class TestRingAxioms:
         right = series_mul(a, series_mul(b, c))
         for x, y in zip(left.coeffs, right.coeffs):
             assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
-        dl = series_mul(a, series_add(b, c))
-        dr = series_add(series_mul(a, b), series_mul(a, c))
+        dl = series_mul(a, add(b, c))
+        dr = add(series_mul(a, b), series_mul(a, c))
         for x, y in zip(dl.coeffs, dr.coeffs):
             assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
 
@@ -159,25 +139,30 @@ class TestCompose:
 
     def test_polynomial_coefficient_field(self):
         # (1 - (t r)) ^ (-1): coefficient of r^m is t^m
-        t = Polynomial([0, 1])
-        inner = TruncatedSeries([POLY_EXACT.zero, t], POLY_EXACT)
-        got = compose_inner_polynomial(lambda j: Fraction(1), inner, 3)
+        t = Polynomial([0, 1], INT)
+        inner = TruncatedSeries([POLY_INT.zero, t], POLY_INT)
+        got = compose_inner_polynomial(lambda j: 1, inner, 3)
         for m, p in enumerate(got.coeffs):
-            assert p == Polynomial([0] * m + [1])
+            assert p == Polynomial([0] * m + [1], INT)
 
     def test_matches_bruteforce_powers(self):
-        """sum_j b_j u^j with u = r^2 - 2tr against independent bivariate expansion."""
+        """sum_j b_j u^j with u = r^2 - 2tr against independent bivariate expansion.
+
+        The outer coefficients b_j = q^n n! C(-lam, j), lam = p/q, are integers, so
+        the expansion runs over integer polynomials and gives q^n n! C_m.
+        """
         from oracles import gegenbauer_coeff_lists
 
         for lam in [Fraction(1), Fraction(1, 2), Fraction(7, 3)]:
             n = 12
+            scale = lam.denominator**n * math.factorial(n)
+            outer = [scale * falling_binomial(-lam, j) for j in range(n + 1)]
+            assert all(b.denominator == 1 for b in outer)
             inner = TruncatedSeries(
-                [POLY_EXACT.zero, Polynomial([0, -2]), POLY_EXACT.one] + [POLY_EXACT.zero] * (n - 2),
-                POLY_EXACT,
+                [POLY_INT.zero, Polynomial([0, -2], INT), POLY_INT.one] + [POLY_INT.zero] * (n - 2),
+                POLY_INT,
             )
-            got = compose_inner_polynomial(
-                lambda j: falling_binomial(-lam, j), inner, n
-            )
+            got = compose_inner_polynomial(lambda j: int(outer[j]), inner, n)
             want = gegenbauer_coeff_lists(lam, n)
             for m in range(n + 1):
-                assert list(got.coeffs[m].coeffs) == want[m]
+                assert list(got.coeffs[m].coeffs) == [scale * c for c in want[m]]
