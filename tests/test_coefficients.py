@@ -94,6 +94,12 @@ class TestGammaRatioCoefficient:
 class TestSignedBinomial:
     """C(-lam, m) = (-1)^m (lam)_m / m!, the composition route's outer coefficients."""
 
+    def test_examples(self):
+        assert (-1) ** 2 * gamma_ratio_coefficient(Fraction(1), 2) == 1
+        assert (-1) ** 1 * gamma_ratio_coefficient(Fraction(2), 1) == -2
+        for lam in [Fraction(1, 2), Fraction(3), 1.5]:
+            assert gamma_ratio_coefficient(lam, 0) == 1
+
     def test_matches_falling_factorial_oracle(self):
         for lam in [Fraction(1, 2), Fraction(1), Fraction(7, 3), Fraction(4)]:
             for m in range(20):

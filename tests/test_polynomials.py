@@ -87,6 +87,12 @@ class TestZeroSkipping:
     def test_mul_matches_dense(self, x, y):
         assert Polynomial(x) * Polynomial(y) == Polynomial(full_convolution(x, y))
 
+    @pytest.mark.parametrize("s", [Fraction(-3, 4), 0])
+    def test_scale_matches_dense(self, s):
+        # scaling is a product with the constant polynomial s, on either side
+        want = Polynomial([c * s for c in self.A])
+        assert Polynomial(self.A) * Polynomial([s]) == Polynomial([s]) * Polynomial(self.A) == want
+
     def test_float_negative_zero_is_skipped(self):
         # -0.0 is falsy, so it is skipped like 0.0; the dense loop from 0.0 gives the same bits
         x, y = [-0.0, 1.5, -0.0, 2.0], [-0.0, -0.0, 3.0]
@@ -99,10 +105,21 @@ class TestZeroSkipping:
 
 
 class TestPolynomialCoefficients:
-    def test_integer_polynomials(self):
+    def test_constants(self):
         assert POLY_INT.zero == Polynomial([0], INT) and POLY_INT.one == Polynomial([1], INT)
+
+    def test_coerce_scalars_to_constants(self):
         assert POLY_INT.coerce(-2) == Polynomial([-2], INT)
         assert POLY_INT.coerce(Polynomial([0, -2], INT)) == Polynomial([0, -2], INT)
+
+    def test_exact_scalars_only(self):
+        # an integer too large for a float stays exact, with an int coefficient
+        big = 2**70 + 1
+        got = POLY_INT.coerce(big)
+        assert got == Polynomial([big], INT) and got.coeffs == (big,)
+        assert type(got.coeffs[0]) is int
+
+    def test_integer_polynomials(self):
         for foreign in (Polynomial([1, 2], EXACT), Polynomial([1.0], FLOAT64)):
             with pytest.raises(FieldMismatchError):
                 POLY_INT.coerce(foreign)
