@@ -15,7 +15,6 @@ from .fields import (
     EXACT,
     FLOAT64,
     CoefficientField,
-    FieldMismatchError,
     format_exact,
     format_float,
     format_scalar,
@@ -39,7 +38,7 @@ from .gegenbauer import (
 )
 from .identity import IdentityReport, identity_lhs, identity_rhs, sweep, verify
 from .polynomials import Polynomial
-from .series import TruncatedSeries, compose_inner_polynomial, series_mul
+from .series import compose_inner_polynomial, series_mul
 
 __version__ = "0.1.0"
 
@@ -47,7 +46,6 @@ __all__ = [
     "CoefficientField",
     "EXACT",
     "FLOAT64",
-    "FieldMismatchError",
     "parse_exact",
     "parse_scalar",
     "literal_kind",
@@ -57,7 +55,6 @@ __all__ = [
     "gamma_ratios",
     "gamma_ratio_coefficient",
     "Polynomial",
-    "TruncatedSeries",
     "series_mul",
     "compose_inner_polynomial",
     "Route",

@@ -1,12 +1,9 @@
-"""Coefficient fields shared by every series and polynomial operation.
+"""The two coefficient fields of a table, and the scalar literal format.
 
 Scalars are plain Python values and combine through their own operators; a
-`CoefficientField` supplies the constants and the coercion rule of one
+`CoefficientField` supplies the zero and the coercion rule of one
 realization: `EXACT` (``fractions.Fraction``, canonical after every
-operation), `FLOAT64` (IEEE-754 doubles), the integer ring `INT` and, in
-`polynomials`, the ring `POLY_INT` of integer polynomials.
-The module also owns the Cauchy product that `Polynomial` multiplication and
-`series_mul` share, with the check that both operands share a field.
+operation) or `FLOAT64` (IEEE-754 doubles).  Neither coercion takes a `bool`.
 
 It also owns the scalar literal format used by the CLI and by JSON payloads:
 ``"p/q"`` (q > 0) or a plain integer for exact values, standard
@@ -26,8 +23,6 @@ __all__ = [
     "CoefficientField",
     "EXACT",
     "FLOAT64",
-    "INT",
-    "FieldMismatchError",
     "parse_exact",
     "parse_scalar",
     "literal_kind",
@@ -35,10 +30,6 @@ __all__ = [
     "format_float",
     "format_scalar",
 ]
-
-
-class FieldMismatchError(ValueError):
-    """Operands from different coefficient fields were combined."""
 
 
 _EXACT_LITERAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -59,7 +50,6 @@ class CoefficientField:
 
     name: str
     zero: object
-    one: object
     coerce: Callable
 
 
@@ -68,54 +58,21 @@ def _to_fraction(value) -> Fraction:
         return value
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"cannot coerce non-finite float {value!r} to a rational")
-    if isinstance(value, (int, float)):  # a binary float is a rational: the conversion is exact
-        return Fraction(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return Fraction(value)  # a binary float is a rational: the conversion is exact
     raise TypeError(f"cannot coerce {type(value).__name__} into the exact field")
 
 
 def _to_float(value) -> float:
     if isinstance(value, float):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return float(value)
     raise TypeError(f"cannot coerce {type(value).__name__} into the float64 field")
 
 
-def _to_int(value) -> int:
-    if type(value) is int:  # not a bool, and no Fraction or float however integral
-        return value
-    raise TypeError(f"cannot coerce {type(value).__name__} into the int ring")
-
-
-EXACT = CoefficientField("exact", Fraction(0), Fraction(1), _to_fraction)
-FLOAT64 = CoefficientField("float64", 0.0, 1.0, _to_float)
-INT = CoefficientField("int", 0, 1, _to_int)
-
-
-def _common_field(a, b) -> CoefficientField:
-    """The field of operands `a` and `b`; FieldMismatchError if they differ."""
-    if a.field is not b.field:
-        raise FieldMismatchError(f"cannot combine operands over {a.field.name} and {b.field.name}")
-    return a.field
-
-
-def _cauchy(a, b, n: int) -> list:
-    """Terms 0..n of the product of `a.coeffs` and `b.coeffs`, over their common field.
-
-    Term k sums a_i b_(k-i) in increasing i, so float results are reproducible.
-    Zeros are skipped by truth value (no `Fraction.__eq__` per coefficient),
-    and one pass over a runs for each nonzero entry of b.
-    """
-    out = [_common_field(a, b).zero] * (n + 1)
-    nonzero = [(j, y) for j, y in enumerate(b.coeffs[: n + 1]) if y]
-    for i, x in enumerate(a.coeffs[: n + 1]):
-        if not x:
-            continue
-        for j, y in nonzero:
-            if i + j > n:
-                break
-            out[i + j] = out[i + j] + x * y
-    return out
+EXACT = CoefficientField("exact", Fraction(0), _to_fraction)
+FLOAT64 = CoefficientField("float64", 0.0, _to_float)
 
 
 def literal_kind(text: str) -> str:

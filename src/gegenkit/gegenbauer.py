@@ -5,8 +5,8 @@ routes:
 
 * composition  -- expand sum_j C(-lam, j) (r^2 - 2 t r)^j over polynomial
   coefficients and collect powers of r; exact, yields whole polynomials.
-  It runs over integer polynomials on q^N N! C_m (lam = p/q) and reduces
-  each coefficient once.
+  It runs on the integer rows of `series` (row m: the coefficients in t of
+  r^m), on q^N N! C_m (lam = p/q), and reduces each coefficient once.
 * recurrence   -- C_0 = 1, C_1 = 2 lam t,
   m C_m = 2 t (m + lam - 1) C_{m-1} - (m + 2 lam - 2) C_{m-2};
   works over exact rationals or floats.  Exact mode (lam = p/q) carries
@@ -37,9 +37,9 @@ from itertools import accumulate, count, islice
 from math import factorial, gcd, inf, isfinite, lcm
 
 from .coefficients import _check_index, check_lambda, gamma_ratio_coefficient, gamma_ratios
-from .fields import EXACT, FLOAT64, INT, CoefficientField
-from .polynomials import POLY_INT, Polynomial
-from .series import TruncatedSeries, compose_inner_polynomial
+from .fields import EXACT, FLOAT64, CoefficientField
+from .polynomials import Polynomial
+from .series import compose_inner_polynomial
 
 __all__ = [
     "Route",
@@ -107,11 +107,11 @@ class GegenbauerTable:
             p, q = lam.numerator, lam.denominator
             rows = (_composition_rows(p, q, n) if self.route is Route.COMPOSITION
                     else islice(_exact_rows(p, q), n + 1))
-            return tuple(Polynomial._of([Fraction(c, d) if c else f.zero for c in row], f)
+            return tuple(Polynomial([Fraction(c, d) if c else f.zero for c in row], f)
                          for row, d in rows)
         steps = ((2 * (m + lam - 1) / m, (m + 2 * lam - 2) / m) for m in range(2, n + 1))
         rows = islice(_parity_rows([f.zero, 2 * lam], steps), n + 1)
-        return tuple(Polynomial._of(row, f) for row in rows)
+        return tuple(Polynomial(row, f) for row in rows)
 
     def evaluate(self, m: int, t):
         """C_m at t in the table's own field.
@@ -133,7 +133,7 @@ def table_via_composition(params: GegenbauerParams) -> GegenbauerTable:
 
     The inner polynomial r^2 - 2 t r has valuation 1, so collecting powers of r from sum_j
     C(-lam, j) (r^2 - 2 t r)^j through j = N yields every exact C_m, m <= N.  The sum runs
-    over integer polynomials, scaled by q^N N! for lam = p/q (`_composition_rows`).
+    on integer rows, scaled by q^N N! for lam = p/q (`_composition_rows`).
     """
     return GegenbauerTable(params, Route.COMPOSITION)
 
@@ -143,14 +143,14 @@ def _composition_rows(p: int, q: int, n: int):
 
     The outer coefficients c_j = q^n n! C(-lam, j) = (-1)^j q^(n-j) (n!/j!) prod_{i<j} (p + i q)
     are integers, stepped as c_{j+1} = -c_j (p + j q) / (q (j+1)) by exact division, and
-    the inner series r^2 - 2 t r is integral, so the whole expansion runs over `POLY_INT`.
+    the inner series r^2 - 2 t r is integral: as `series` rows in r, [[0], [0, -2], [1]].
+    So the whole expansion runs on integer rows, and row m comes back as row_m.
     """
     scale = q**n * factorial(n)
     outer = list(accumulate(range(n), lambda c, j: -c * (p + j * q) // (q * (j + 1)),
                             initial=scale))
-    inner = TruncatedSeries([0, Polynomial([0, -2], INT), 1], POLY_INT)
-    return ((poly.coeffs, scale)
-            for poly in compose_inner_polynomial(outer.__getitem__, inner, n).coeffs)
+    rows = compose_inner_polynomial(outer.__getitem__, [[0], [0, -2], [1]], n)
+    return ((row, scale) for row in rows)
 
 
 def _next_row(a, b, row: list, older: list, zero) -> list:
@@ -273,7 +273,7 @@ def value_via_conjugate_product(lam, phi: float, m: int) -> ConjugateValue:
     OverflowError.
     """
     check_lambda(lam)
-    phi = float(phi)
+    phi = FLOAT64.coerce(phi)
     if not isfinite(phi):
         raise ValueError(f"phi must be finite, not {phi!r}")
     prefix = gamma_ratios(float(lam), m)
@@ -370,7 +370,7 @@ def derivative_interchange_check(lam, t, r, order: int) -> DerivativeInterchange
     r = 0 is admitted as the trivial case (every term carries a factor r, so
     A = B = 0 and the budget is 0).
     """
-    lam_f, t_f, r_f = float(check_lambda(lam)), float(t), float(r)
+    lam_f, t_f, r_f = float(check_lambda(lam)), FLOAT64.coerce(t), FLOAT64.coerce(r)
     _check_index(order, "order")
     if not -1.0 <= t_f <= 1.0:
         raise ValueError("t must lie in [-1, 1]")

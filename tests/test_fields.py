@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from gegenkit.fields import (
     EXACT,
     FLOAT64,
-    INT,
-    FieldMismatchError,
     format_exact,
     format_float,
     format_scalar,
@@ -80,17 +78,10 @@ class TestCoercion:
         with pytest.raises(TypeError):
             FLOAT64.coerce(object())
 
-    def test_int_coerce(self):
-        big = 3**400
-        assert INT.coerce(big) is big and INT.coerce(-7) == -7
-        assert type(INT.zero) is int and type(INT.one) is int
-
-    @pytest.mark.parametrize("value", [Fraction(2), Fraction(1, 2), 2.0, True, False, object()],
-                             ids=repr)
-    def test_int_coerce_takes_only_int(self, value):
-        # an integral Fraction or float and a bool are refused, not rounded or promoted
-        with pytest.raises(TypeError, match="int ring"):
-            INT.coerce(value)
-
-    def test_mismatch_error_is_value_error(self):
-        assert issubclass(FieldMismatchError, ValueError)
+    @pytest.mark.parametrize("value", [True, False], ids=["true", "false"])
+    @pytest.mark.parametrize("convert", [EXACT.coerce, FLOAT64.coerce, format_scalar],
+                             ids=["exact", "float64", "format"])
+    def test_bool_is_refused(self, convert, value):
+        # a bool is an int to isinstance, but True must not be taken as 1, nor False as 0
+        with pytest.raises(TypeError, match="cannot .* bool"):
+            convert(value)

@@ -1,72 +1,84 @@
-"""Truncated series arithmetic: Cauchy product and composition."""
+"""Truncated series over integer rows: the bivariate Cauchy product and composition."""
 
 import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gegenkit.coefficients import gamma_ratios
-from gegenkit.fields import EXACT, FLOAT64, INT, FieldMismatchError
-from gegenkit.polynomials import POLY_INT, Polynomial
-from gegenkit.series import TruncatedSeries, compose_inner_polynomial, series_mul
+from gegenkit.series import compose_inner_polynomial, series_mul
 
 from oracles import bivariate_product, falling_binomial, full_convolution
 
 
-def exact_series(coeffs):
-    return TruncatedSeries([Fraction(c) for c in coeffs], EXACT)
+def constants(coeffs):
+    """A series whose coefficient of r^m is the constant polynomial coeffs[m]."""
+    return [[c] for c in coeffs]
+
+
+def settled(row):
+    row = list(row)
+    while row and not row[-1]:
+        row.pop()
+    return row or [0]
 
 
 def add(a, b):
-    return TruncatedSeries([x + y for x, y in zip(a.coeffs, b.coeffs)], a.field)
+    return [settled(x + y for x, y in zip_longest(p, q, fillvalue=0)) for p, q in zip(a, b)]
 
 
 class TestSeriesBasics:
     def test_trailing_zeros_are_kept(self):
-        s = exact_series([1, 0, 0])
-        assert s.order == 2
-        assert s.coeffs == (Fraction(1), Fraction(0), Fraction(0))
+        # the order is the truncation order: zero rows are data and are never dropped
+        s = constants([1, 0, 0])
+        assert series_mul(s, s) == [[1], [0], [0]]
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries([], EXACT)
+    def test_cancelled_rows_are_settled(self):
+        # a row that cancels is [0]; a row whose top terms cancel keeps no trailing zeros
+        assert series_mul([[1], [1]], [[1], [-1]]) == [[1], [0]]
+        assert series_mul([[1], [0, 1]], [[0, 1], [1, 0, -1]]) == [[0, 1], [1]]
 
-    def test_constructors(self):
-        assert TruncatedSeries.one(EXACT, 2).coeffs == (Fraction(1), Fraction(0), Fraction(0))
+    def test_operands_are_not_changed(self):
+        a, b = [[0, 1, 0], [2], [0]], [[3], [0, 0, 4]]
+        before = (repr(a), repr(b))
+        series_mul(a, b)
+        compose_inner_polynomial(lambda j: j + 1, [[0], [1, 2], [3]], 4)
+        assert (repr(a), repr(b)) == before
 
 
 class TestMul:
     def test_telescoping_geometric(self):
-        ones = exact_series([1, 1, 1, 1])
-        onemr = exact_series([1, -1, 0, 0])
-        assert series_mul(ones, onemr) == exact_series([1, 0, 0, 0])
+        ones = constants([1, 1, 1, 1])
+        onemr = constants([1, -1, 0, 0])
+        assert series_mul(ones, onemr) == constants([1, 0, 0, 0])
 
     def test_multiplicative_identity(self):
-        a = exact_series([3, -2, 5])
-        assert series_mul(a, TruncatedSeries.one(EXACT, 2)) == a
+        a = [[3, 1], [-2], [0, 0, 5]]
+        assert series_mul(a, constants([1, 0, 0])) == a
         # the product truncates to the smaller order, whichever operand is longer
-        assert series_mul(a, TruncatedSeries.one(EXACT, 5)) == a
-        assert series_mul(TruncatedSeries.one(EXACT, 5), a) == a
+        assert series_mul(a, constants([1] + [0] * 5)) == a
+        assert series_mul(constants([1] + [0] * 5), a) == a
 
     def test_conjugate_pair_at_phi_zero(self):
         """(1-r)^(-lam) (1-r)^(-lam) = (1-r)^(-2 lam): the identity as a Cauchy product."""
         n = 30
-        for lam in [Fraction(1), Fraction(1, 2), Fraction(7, 3)]:
-            factor = TruncatedSeries(gamma_ratios(lam, n), EXACT)
-            assert series_mul(factor, factor).coeffs == tuple(gamma_ratios(2 * lam, n))
+        for lam in [1, 2, 5]:
+            factor = constants([int(c) for c in gamma_ratios(lam, n)])
+            assert series_mul(factor, factor) == constants(gamma_ratios(2 * lam, n))
 
     def test_matches_full_convolution_oracle(self):
         rng = random.Random(7)
         for _ in range(50):
             n = rng.randint(0, 10)
-            a = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n + 1)]
-            b = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n + 1)]
-            got = series_mul(exact_series(a), exact_series(b))
+            a = [rng.randint(-9, 9) for _ in range(n + 1)]
+            b = [rng.randint(-9, 9) for _ in range(n + 1)]
+            got = series_mul(constants(a), constants(b))
             want = full_convolution(a, b)[: n + 1]
-            assert list(got.coeffs) == want
+            assert got == constants(want)
 
     def test_polynomial_coefficients_with_zero_entries(self):
         rng = random.Random(13)
@@ -75,14 +87,50 @@ class TestMul:
             a, b = ([[rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
                      if rng.random() < 0.5 else [0] for _ in range(n + 1)] for _ in range(2))
             a[0] = b[n] = [0]
-            got = series_mul(TruncatedSeries([Polynomial(x, INT) for x in a], POLY_INT),
-                             TruncatedSeries([Polynomial(y, INT) for y in b], POLY_INT))
-            want = [Polynomial([int(c) for c in row], INT) for row in bivariate_product(a, b, n)]
-            assert list(got.coeffs) == want
+            want = [settled(int(c) for c in row) for row in bivariate_product(a, b, n)]
+            assert series_mul(a, b) == want
 
-    def test_field_mismatch(self):
-        with pytest.raises(FieldMismatchError):
-            series_mul(exact_series([1]), TruncatedSeries([1.0], FLOAT64))
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_bivariate_oracle_up_to_order_16(self, data):
+        order = data.draw(st.integers(min_value=0, max_value=16))
+        a, b = (integer_series(data.draw, order) for _ in range(2))
+        want = [settled(int(c) for c in row) for row in bivariate_product(a, b, order)]
+        assert series_mul(a, b) == want
+
+    def test_truncates_to_smaller_order(self):
+        # rows of the longer operand beyond the shorter one's order take no part
+        assert series_mul([[1], [1]], [[1], [0, 1], [9, 9]]) == [[1], [1, 1]]
+        assert series_mul([[1], [0, 1], [9, 9]], [[1], [1]]) == [[1], [1, 1]]
+
+
+class TestRowProduct:
+    """A product at order 0 is the product of two polynomials in t: zeros skipped, exact."""
+
+    A = [3, 0, 0, -2, 0, 7]
+    B = [0, 5, 0, 0, -1]
+    C = [-3, 0, 5, 2, 0, -7]
+
+    @pytest.mark.parametrize("x, y", [(A, B), (B, A), (A, C), (B, [0])],
+                             ids=["a-b", "b-a", "a-c", "b-zero"])
+    def test_mul_matches_dense(self, x, y):
+        assert series_mul([x], [y]) == [settled(full_convolution(x, y))]
+
+    @pytest.mark.parametrize("s", [-3, 0], ids=["minus-three", "zero"])
+    def test_scale_matches_dense(self, s):
+        # scaling is a product with the constant polynomial s, on either side
+        want = [settled([c * s for c in self.A])]
+        assert series_mul([self.A], [[s]]) == series_mul([[s]], [self.A]) == want
+
+    def test_big_integers_stay_exact(self):
+        big = 2**70 + 1
+        got = series_mul([[big, 1]], [[big]])
+        assert got == [[big * big, big]] and all(type(c) is int for c in got[0])
+
+
+def integer_series(draw, order):
+    row = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=4)
+    return [settled(r) for r in draw(st.lists(row, min_size=order + 1, max_size=order + 1))]
 
 
 class TestRingAxioms:
@@ -90,66 +138,51 @@ class TestRingAxioms:
     @given(st.data())
     def test_exact_axioms_up_to_order_64(self, data):
         order = data.draw(st.integers(min_value=0, max_value=64))
-        coeff = st.fractions(min_value=-9, max_value=9, max_denominator=4)
-        triple = [
-            exact_series(data.draw(st.lists(coeff, min_size=order + 1, max_size=order + 1)))
-            for _ in range(3)
-        ]
-        a, b, c = triple
+        a, b, c = (integer_series(data.draw, order) for _ in range(3))
         assert series_mul(a, b) == series_mul(b, a)
         assert series_mul(series_mul(a, b), c) == series_mul(a, series_mul(b, c))
         assert series_mul(a, add(b, c)) == add(series_mul(a, b), series_mul(a, c))
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_float_axioms_within_1e12_relative(self, data):
-        # Nonnegative draws keep every accumulation cancellation-free, so the
-        # relative rounding error stays bounded by the operation count.
-        order = data.draw(st.integers(min_value=0, max_value=64))
-        coeff = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
-        draw_series = lambda: TruncatedSeries(
-            data.draw(st.lists(coeff, min_size=order + 1, max_size=order + 1)), FLOAT64
-        )
-        a, b, c = draw_series(), draw_series(), draw_series()
-        left = series_mul(series_mul(a, b), c)
-        right = series_mul(a, series_mul(b, c))
-        for x, y in zip(left.coeffs, right.coeffs):
-            assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
-        dl = series_mul(a, add(b, c))
-        dr = add(series_mul(a, b), series_mul(a, c))
-        for x, y in zip(dl.coeffs, dr.coeffs):
-            assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
-
 
 class TestCompose:
     def test_identity_composition(self):
-        inner = exact_series([0, 1])
-        got = compose_inner_polynomial(lambda j: Fraction(1), inner, 3)
-        assert got == exact_series([1, 1, 1, 1])
+        got = compose_inner_polynomial(lambda j: 1, [[0], [1]], 3)
+        assert got == constants([1, 1, 1, 1])
 
     def test_geometric_of_quadratic(self):
         # outer (1-u)^(-1) has all-ones coefficients; u = 2r - r^2 gives (1-r)^(-2)
-        inner = exact_series([0, 2, -1])
-        got = compose_inner_polynomial(lambda j: Fraction(1), inner, 3)
-        assert got == exact_series([1, 2, 3, 4])
+        got = compose_inner_polynomial(lambda j: 1, constants([0, 2, -1]), 3)
+        assert got == constants([1, 2, 3, 4])
 
     def test_nonzero_constant_term_rejected(self):
-        with pytest.raises(ValueError):
-            compose_inner_polynomial(lambda j: Fraction(1), exact_series([1, 1]), 3)
+        with pytest.raises(ValueError, match="zero constant-term row"):
+            compose_inner_polynomial(lambda j: 1, [[0, 1], [1]], 3)
+        # an empty list has no constant-term row: it is no series at all
+        with pytest.raises(ValueError, match="zero constant-term row"):
+            compose_inner_polynomial(lambda j: 1, [], 3)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            compose_inner_polynomial(lambda j: 1, [[0], [1]], -1)
+
+    def test_inner_beyond_order_is_cut(self):
+        # rows of the inner series past the order cannot reach r^order
+        got = compose_inner_polynomial(lambda j: 1, [[0], [1], [5, 5], [7]], 1)
+        assert got == [[1], [1]]
+
+    def test_zero_outer_gives_zero_rows(self):
+        assert compose_inner_polynomial(lambda j: 0, [[0], [0, -2], [1]], 3) == [[0]] * 4
 
     def test_polynomial_coefficient_field(self):
         # (1 - (t r)) ^ (-1): coefficient of r^m is t^m
-        t = Polynomial([0, 1], INT)
-        inner = TruncatedSeries([POLY_INT.zero, t], POLY_INT)
-        got = compose_inner_polynomial(lambda j: 1, inner, 3)
-        for m, p in enumerate(got.coeffs):
-            assert p == Polynomial([0] * m + [1], INT)
+        got = compose_inner_polynomial(lambda j: 1, [[0], [0, 1]], 3)
+        assert got == [[0] * m + [1] for m in range(4)]
 
     def test_matches_bruteforce_powers(self):
         """sum_j b_j u^j with u = r^2 - 2tr against independent bivariate expansion.
 
         The outer coefficients b_j = q^n n! C(-lam, j), lam = p/q, are integers, so
-        the expansion runs over integer polynomials and gives q^n n! C_m.
+        the expansion runs on integer rows and gives q^n n! C_m.
         """
         from oracles import gegenbauer_coeff_lists
 
@@ -158,11 +191,6 @@ class TestCompose:
             scale = lam.denominator**n * math.factorial(n)
             outer = [scale * falling_binomial(-lam, j) for j in range(n + 1)]
             assert all(b.denominator == 1 for b in outer)
-            inner = TruncatedSeries(
-                [POLY_INT.zero, Polynomial([0, -2], INT), POLY_INT.one] + [POLY_INT.zero] * (n - 2),
-                POLY_INT,
-            )
-            got = compose_inner_polynomial(lambda j: int(outer[j]), inner, n)
+            got = compose_inner_polynomial(lambda j: int(outer[j]), [[0], [0, -2], [1]], n)
             want = gegenbauer_coeff_lists(lam, n)
-            for m in range(n + 1):
-                assert list(got.coeffs[m].coeffs) == [scale * c for c in want[m]]
+            assert got == [[scale * c for c in row] for row in want]
