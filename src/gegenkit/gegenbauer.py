@@ -107,11 +107,11 @@ class GegenbauerTable:
             p, q = lam.numerator, lam.denominator
             rows = (_composition_rows(p, q, n) if self.route is Route.COMPOSITION
                     else islice(_exact_rows(p, q), n + 1))
-            return tuple(Polynomial([Fraction(c, d) if c else f.zero for c in row], f)
+            return tuple(Polynomial._of([Fraction(c, d) if c else f.zero for c in row], f)
                          for row, d in rows)
         steps = ((2 * (m + lam - 1) / m, (m + 2 * lam - 2) / m) for m in range(2, n + 1))
         rows = islice(_parity_rows([f.zero, 2 * lam], steps), n + 1)
-        return tuple(Polynomial(row, f) for row in rows)
+        return tuple(Polynomial._of(row, f) for row in rows)
 
     def evaluate(self, m: int, t):
         """C_m at t in the table's own field.

@@ -13,7 +13,7 @@ __all__ = ["Polynomial"]
 
 
 class Polynomial:
-    """Coefficients in increasing powers of the variable t, already in `field`.
+    """Coefficients in increasing powers of the variable t, coerced into `field`.
 
     Trailing zero coefficients are stripped on construction; the canonical
     zero polynomial is the single-entry list [0].
@@ -21,12 +21,18 @@ class Polynomial:
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, coeffs=(), field: CoefficientField = EXACT):
-        items = list(coeffs)
+    def __new__(cls, coeffs=(), field: CoefficientField = EXACT):
+        return cls._of([field.coerce(c) for c in coeffs], field)
+
+    @classmethod
+    def _of(cls, items: list, field: CoefficientField) -> "Polynomial":
+        """A polynomial over items already in `field`: no coercion, zeros still stripped."""
         while len(items) > 1 and not items[-1]:
             items.pop()
-        self.field = field
-        self.coeffs = tuple(items or [field.zero])
+        poly = object.__new__(cls)
+        poly.field = field
+        poly.coeffs = tuple(items or [field.zero])
+        return poly
 
     @property
     def degree(self) -> int:

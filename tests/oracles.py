@@ -6,6 +6,7 @@ plain nested loops, and closed forms come from trigonometry.
 """
 
 from fractions import Fraction
+from itertools import zip_longest
 import math
 
 
@@ -34,6 +35,19 @@ def full_convolution(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def settled(row):
+    """`row` as a list without trailing zeros; the zero row is [0]."""
+    row = list(row)
+    while row and not row[-1]:
+        row.pop()
+    return row or [0]
+
+
+def series_add(a, b):
+    """Row-wise sum of two series of the same order, each row settled."""
+    return [settled(x + y for x, y in zip_longest(p, q, fillvalue=0)) for p, q in zip(a, b)]
 
 
 def bivariate_product(a, b, n: int):

@@ -10,7 +10,6 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 
 from gegenkit.coefficients import gamma_ratio_coefficient
 from gegenkit.gegenbauer import (
@@ -24,6 +23,8 @@ from gegenkit.gegenbauer import (
 )
 from gegenkit.identity import identity_lhs, sweep
 from gegenkit.series import series_mul
+
+from oracles import series_add, settled
 
 LAMBDA_FULL = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(10)]
 # Float conjugate-product agreement uses the invariant grid (lam <= 7/3):
@@ -155,14 +156,6 @@ def test_property_suites():
     # Cauchy-product ring axioms at fixed truncation order 8, on integer-polynomial rows.
     order = 8
 
-    def settled(row):
-        while len(row) > 1 and not row[-1]:
-            row.pop()
-        return row
-
-    def add(x, y):
-        return [settled([u + v for u, v in zip_longest(p, q, fillvalue=0)]) for p, q in zip(x, y)]
-
     for _ in range(cases):
         a, b, c = (
             [settled([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))])
@@ -171,7 +164,7 @@ def test_property_suites():
         )
         assert series_mul(a, b) == series_mul(b, a)
         assert series_mul(series_mul(a, b), c) == series_mul(a, series_mul(b, c))
-        assert series_mul(a, add(b, c)) == add(series_mul(a, b), series_mul(a, c))
+        assert series_mul(a, series_add(b, c)) == series_add(series_mul(a, b), series_mul(a, c))
 
     # Pochhammer one-step recurrence, on g(x, m) = (x)_m / m!.
     g = gamma_ratio_coefficient

@@ -3,7 +3,6 @@
 import math
 import random
 from fractions import Fraction
-from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -12,23 +11,12 @@ from hypothesis import strategies as st
 from gegenkit.coefficients import gamma_ratios
 from gegenkit.series import compose_inner_polynomial, series_mul
 
-from oracles import bivariate_product, falling_binomial, full_convolution
+from oracles import bivariate_product, falling_binomial, full_convolution, series_add, settled
 
 
 def constants(coeffs):
     """A series whose coefficient of r^m is the constant polynomial coeffs[m]."""
     return [[c] for c in coeffs]
-
-
-def settled(row):
-    row = list(row)
-    while row and not row[-1]:
-        row.pop()
-    return row or [0]
-
-
-def add(a, b):
-    return [settled(x + y for x, y in zip_longest(p, q, fillvalue=0)) for p, q in zip(a, b)]
 
 
 class TestSeriesBasics:
@@ -141,7 +129,7 @@ class TestRingAxioms:
         a, b, c = (integer_series(data.draw, order) for _ in range(3))
         assert series_mul(a, b) == series_mul(b, a)
         assert series_mul(series_mul(a, b), c) == series_mul(a, series_mul(b, c))
-        assert series_mul(a, add(b, c)) == add(series_mul(a, b), series_mul(a, c))
+        assert series_mul(a, series_add(b, c)) == series_add(series_mul(a, b), series_mul(a, c))
 
 
 class TestCompose:
