@@ -8,8 +8,8 @@ text or csv (the seven columns under a header), each scalar's text from
 or json lines by `json` (the same keys and values; floats by their repr, lists as
 arrays, exact scalars as `fields.format_exact` strings).  Results go to stdout.
 
-Exit 0 -- every check passes; exit 1 -- a mathematical check failed; exit 2
--- usage or domain error, or a non-finite float (one-line reason on stderr).
+Exit 0 -- every check passes; exit 1 -- a mathematical check failed; exit 2 --
+a usage, domain or arithmetic error, or a non-finite float (reason on stderr).
 
 Scalar literals: "p/q" or an integer is exact, a decimal/scientific literal
 is float; integers fit either mode, and mixing "p/q" with decimal literals
@@ -40,6 +40,8 @@ __all__ = ["cli"]
 
 M_MAX_LIMIT = 10_000
 """Largest `verify --m-max`, `at-one --degree`, `eval --degree` and `deriv-check --order`: O(m) work."""
+EXACT_M_MAX_LIMIT = 1_500
+"""Largest exact `verify --m-max`: O(m^2) big-by-small products, about 2 s for one lambda = 7/3."""
 ORDER_LIMIT = 1_000
 """Largest `table --order` on the recurrence route: a table of O(N^2) entries."""
 COMPOSITION_LIMIT = 400
@@ -108,7 +110,7 @@ def _emit(fmt: str, records: list[tuple], text=lambda rows: (row[3] for row in r
 
 
 class _Command(click.Command):
-    """Maps domain ValueErrors and float overflow onto exit 2, with this command's usage lines."""
+    """Maps domain ValueErrors and ArithmeticErrors (float overflow too) onto exit 2, with usage lines."""
 
     def invoke(self, ctx):
         try:
@@ -117,6 +119,8 @@ class _Command(click.Command):
             raise click.UsageError(str(exc), ctx)
         except OverflowError as exc:
             raise click.UsageError(f"float overflow: {exc.args[-1]}", ctx)
+        except ArithmeticError as exc:
+            raise click.UsageError(f"arithmetic defect: {exc}", ctx)
 
 
 _mode_option = click.option("--mode", type=click.Choice(["exact", "float"]), default=None)
@@ -182,7 +186,7 @@ def at_one(lam_text, degree, mode, fmt):
 @cli.command()
 @click.option("--lambda-list", "lam_list", required=True, help="Comma-separated lambda values.")
 @click.option("--m-max", type=int, required=True,
-              help=f"Largest m to check, at most {M_MAX_LIMIT}.")
+              help=f"Largest m to check, at most {EXACT_M_MAX_LIMIT} exact or {M_MAX_LIMIT} float.")
 @_mode_option
 @_format_option
 @click.option("--tolerance", type=float, default=1e-10, show_default=True,
@@ -193,7 +197,10 @@ def verify(lam_list, m_max, mode, fmt, tolerance):
     texts = [s for s in lam_list.split(",") if s.strip()]
     if not texts:
         raise ValueError("empty lambda list")
-    reports = sweep(_parse_literals(texts, mode), m_max)
+    lambdas = _parse_literals(texts, mode)
+    if not isinstance(lambdas[0], float):
+        _check_bounds("--m-max", m_max, EXACT_M_MAX_LIMIT, scope=" in exact mode")
+    reports = sweep(lambdas, m_max)
     passed = [rep.passed(tolerance) for rep in reports]
     _emit(fmt, [(rep.lam, rep.m, "verify", rep.lhs, rep.rhs, rep.residual, "pass" if ok else "fail")
                 for rep, ok in zip(reports, passed)],

@@ -42,13 +42,10 @@ def check_lambda(lam):
     return Fraction(lam)
 
 
-def _rising_products(a: int, q: int, m: int) -> list[int]:
-    """[prod_{j<k} (a + j q) for k = 0..m], that is q^k (a/q)_k in integers."""
+def _rising_product(a: int, q: int, m: int) -> int:
+    """prod_{j<m} (a + j q), that is q^m (a/q)_m in integers."""
     _check_index(m)
-    out = [1]
-    for j in range(m):
-        out.append(out[-1] * (a + j * q))
-    return out
+    return math.prod(range(a, a + m * q, q))
 
 
 def gamma_ratios(x, m: int) -> list:
@@ -74,5 +71,5 @@ def gamma_ratio_coefficient(x, m: int):
         return gamma_ratios(x, m)[m]
     x = Fraction(x)
     q = x.denominator
-    return Fraction(_rising_products(x.numerator, q, m)[m], q**m * math.factorial(m))
+    return Fraction(_rising_product(x.numerator, q, m), q**m * math.factorial(m))
 

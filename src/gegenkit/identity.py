@@ -6,32 +6,30 @@ For lam > 0 and m >= 0, with a_k = (lam)_k / k!:
 
 The left side is the Cauchy-product coefficient of the conjugate factor pair
 at phi = 0; the right side is the coefficient comparison of (1-r)^(-2 lam).
-Exact mode (rational lam) asserts literal equality; float mode reports a
-relative residual.
+Float mode reports a relative residual.
 
-Exact mode runs in integers: with lam = p/q, multiplying by q^m m! turns the
-identity into sum_k C(m, k) P_k P_{m-k} == Q_m, where P_k = prod_{j<k} (p + j q)
-and Q_m = prod_{j<m} (2p + j q) (DLMF 5.2(iii)).  The summand is symmetric
-under k <-> m-k, so only the terms k < m/2 are formed, doubled, plus the middle
-term when m is even.  The right side is coefficients.gamma_ratio_coefficient
-at 2 lam, the same C_m(1) that gegenbauer.value_at_one returns.  Float mode
-sums gamma_ratios left to right.
+Exact mode asserts equality in integers: with lam = p/q, multiplying by q^m m!
+turns the identity into sum_k t_k == Q_m, with t_k = C(m, k) P_k P_{m-k},
+P_k = prod_{j<k} (p + j q) and Q_m = prod_{j<m} (2p + j q) (DLMF 5.2(iii)).
+As t_k = t_{m-k} and t_{k+1} / t_k = (m-k)(p + k q) / ((k+1)(p + (m-k-1) q)),
+Horner on that ratio of small integers sums from the middle term out to
+t_0 = P_m with big-by-small products only (Petkovsek, Wilf & Zeilberger, 1996).
+The left side reads P alone; the right side is gegenbauer.value_at_one, C_m(1).
+Float mode sums gamma_ratios left to right.
 
-`sweep` takes each lam once: it builds P, Q (or, in float mode, the
-gamma_ratios prefixes of lam and 2 lam) up to m_max, and steps the binomial row
-from m-1 to m by Pascal's rule.  Every report equals the one `verify` gives,
-float bits included; the two sides stay computed apart.
+`sweep` takes each lam once: it carries P_m, Q_m and q^m m! from m-1 to m (or,
+in float mode, builds the gamma_ratios prefixes of lam and 2 lam up to m_max).
+Every report equals the one `verify` gives, float bits included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from operator import add
+from math import factorial
 
-from .coefficients import (_check_index, _rising_products, check_lambda,
-                           gamma_ratio_coefficient, gamma_ratios)
+from .coefficients import _check_index, _rising_product, check_lambda, gamma_ratios
+from .gegenbauer import value_at_one as identity_rhs
 
 __all__ = ["IdentityReport", "identity_lhs", "identity_rhs", "verify", "sweep"]
 
@@ -54,11 +52,19 @@ class IdentityReport:
         return self.residual <= tolerance
 
 
-def _half_convolution(row, P: list[int], m: int) -> int:
-    """sum_{k=0}^m row[k] P_k P_{m-k} for a symmetric row; only row[: m//2 + 1] is read."""
-    total = 2 * sum(row[k] * P[k] * P[m - k] for k in range((m + 1) // 2))
-    if m % 2 == 0:
-        total += row[m // 2] * P[m // 2] ** 2
+def _lhs_numerator(p: int, q: int, m: int, P_m: int) -> int:
+    """sum_{k=0}^m C(m, k) P_k P_{m-k} = P_m N / M, by Horner on the term ratio.
+
+    N / M = (t_k + ... + t_{m-k}) / t_k, stepped from the middle down to k = 0.
+    A remainder is a defect of ours, never a failed identity: ArithmeticError.
+    """
+    N, M = 1 + m % 2, 1
+    for k in range(m // 2 - 1, -1, -1):
+        b = (k + 1) * (p + (m - k - 1) * q)
+        N, M = 2 * b * M + (m - k) * (p + k * q) * N, b * M
+    total, remainder = divmod(P_m * N, M)
+    if remainder:
+        raise ArithmeticError(f"the left side at m = {m} is not an integer")
     return total
 
 
@@ -80,15 +86,8 @@ def identity_lhs(lam, m: int):
     lam = check_lambda(lam)
     if isinstance(lam, float):
         return _float_convolution(gamma_ratios(lam, m), m)
-    q = lam.denominator
-    P = _rising_products(lam.numerator, q, m)
-    row = [comb(m, k) for k in range(m // 2 + 1)]
-    return Fraction(_half_convolution(row, P, m), q**m * factorial(m))
-
-
-def identity_rhs(lam, m: int):
-    """(2 lam)_m / m!, the t = 1 coefficient; exact lam = p/q gives Q_m / (q^m m!)."""
-    return gamma_ratio_coefficient(2 * check_lambda(lam), m)
+    p, q = lam.numerator, lam.denominator
+    return Fraction(_lhs_numerator(p, q, m, _rising_product(p, q, m)), q**m * factorial(m))
 
 
 def _report(lam, m: int, lhs, rhs) -> IdentityReport:
@@ -108,20 +107,17 @@ def verify(lam, m: int) -> IdentityReport:
 
 
 def _lambda_reports(lam, m_max: int) -> list[IdentityReport]:
-    """verify(lam, m) for m = 0..m_max, with each side's running products built once."""
+    """verify(lam, m) for m = 0..m_max, with each side's running products carried from m-1 to m."""
     lam = check_lambda(lam)
     if isinstance(lam, float):
         a, b = gamma_ratios(lam, m_max), gamma_ratios(2 * lam, m_max)
         return [_report(lam, m, _float_convolution(a, m), b[m]) for m in range(m_max + 1)]
     p, q = lam.numerator, lam.denominator
-    P, Q = _rising_products(p, q, m_max), _rising_products(2 * p, q, m_max)
-    reports, row, scale = [], [1], 1
+    reports, P, Q, scale = [], 1, 1, 1
     for m in range(m_max + 1):
-        if m:
-            row = [1, *map(add, row, row[1:]), 1]
-            scale *= m * q
-        lhs = Fraction(_half_convolution(row, P, m), scale)
-        reports.append(_report(lam, m, lhs, Fraction(Q[m], scale)))
+        lhs = Fraction(_lhs_numerator(p, q, m, P), scale)
+        reports.append(_report(lam, m, lhs, Fraction(Q, scale)))
+        P, Q, scale = P * (p + m * q), Q * (2 * p + m * q), scale * (m + 1) * q
     return reports
 
 

@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from gegenkit.cli import COMPOSITION_LIMIT, M_MAX_LIMIT, ORDER_LIMIT, cli
+from gegenkit import identity
+from gegenkit.cli import COMPOSITION_LIMIT, EXACT_M_MAX_LIMIT, M_MAX_LIMIT, ORDER_LIMIT, cli
 
 from oracles import explicit_value, pochhammer
 
@@ -195,6 +196,19 @@ class TestVerify:
         assert res.returncode == 2
         assert res.stdout == b""
 
+    def test_inexact_left_side_is_our_defect(self, runner, monkeypatch):
+        # a wrong P_m leaves a remainder in the kernel's division at m >= 2; that is
+        # a fault of the program, never a failed identity, so no row may read fail
+        kernel = identity._lhs_numerator
+        monkeypatch.setattr(identity, "_lhs_numerator",
+                            lambda p, q, m, P_m: kernel(p, q, m, P_m + 1))
+        res = invoke(runner, "verify", "--lambda-list", "1/2", "--m-max", "3")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "fail" not in res.output
+        assert res.stderr.splitlines()[-1] == (
+            "Error: arithmetic defect: the left side at m = 2 is not an integer")
+
 
 class TestDerivCheck:
     def test_example_values(self, runner):
@@ -290,6 +304,10 @@ def _ceiling_cases(excess):
         case("deriv-check", ["deriv-check", "--lambda", "1", "--t", "0.5", "--r", "0.1"], "--order",
              M_MAX_LIMIT),
         case("at-one", ["at-one", "--lambda", "1"], "--degree", M_MAX_LIMIT),
+        # the general ceiling is checked first, so it is the one named far above both
+        case("verify-exact", ["verify", "--lambda-list", "7/3"], "--m-max",
+             *((EXACT_M_MAX_LIMIT, " in exact mode") if EXACT_M_MAX_LIMIT + excess <= M_MAX_LIMIT
+               else (M_MAX_LIMIT,))),
     ]
 
 
@@ -318,6 +336,9 @@ class TestLimits:
         assert res.exit_code == 0
         res = invoke(runner, "eval", "--lambda", "1.0", "--degree", str(M_MAX_LIMIT), "--t", "0.5")
         assert (res.exit_code, res.stdout) == (0, "-1.0\n")
+        # the exact ceiling of verify does not bound float mode
+        res = invoke(runner, "verify", "--lambda-list", "0.5", "--m-max", str(EXACT_M_MAX_LIMIT + 1))
+        assert res.exit_code == 0
 
     @pytest.mark.parametrize("args", [
         ["table", "--lambda", "1", "--order", "-1"],

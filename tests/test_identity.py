@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gegenkit.gegenbauer import value_at_one, value_via_conjugate_product
-from gegenkit.identity import IdentityReport, identity_lhs, identity_rhs, sweep, verify
+from gegenkit.coefficients import _rising_product
+from gegenkit.identity import IdentityReport, _lhs_numerator, identity_lhs, identity_rhs, sweep, verify
 
 from oracles import pochhammer
 
@@ -116,8 +117,9 @@ class TestSweep:
 
 
 class TestSweepKernel:
-    """sweep builds each lam's running products once and steps its binomial row
-    by Pascal's rule; every report must equal the per-(lam, m) verify."""
+    """sweep carries each lam's running products from m-1 to m and hands them to
+    the left-side kernel; every report must equal the per-(lam, m) verify, which
+    rebuilds the products from scratch."""
 
     @settings(max_examples=80, deadline=None)
     @given(positive_rationals, st.integers(min_value=0, max_value=60))
@@ -149,6 +151,15 @@ class TestSweepKernel:
 class TestSummandStructure:
     @settings(max_examples=100, deadline=None)
     @given(positive_rationals, st.integers(min_value=0, max_value=60))
+    # past the hypothesis range, for both parities of m: p = q, even q, three-digit q
+    @example(Fraction(1), 199)
+    @example(Fraction(1), 200)
+    @example(Fraction(1, 4), 199)
+    @example(Fraction(1, 4), 200)
+    @example(Fraction(355, 113), 199)
+    @example(Fraction(355, 113), 200)
+    @example(Fraction(999, 998), 199)
+    @example(Fraction(999, 998), 200)
     def test_summand_symmetry(self, lam, m):
         prefix = [Fraction(1)]
         for k in range(m):
@@ -158,6 +169,16 @@ class TestSummandStructure:
         forward = sum(terms)
         backward = sum(reversed(terms))
         assert forward == backward == identity_lhs(lam, m)
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1, 4), Fraction(7, 3),
+                                     Fraction(355, 113), Fraction(999, 998)])
+    def test_inexact_left_side_raises(self, lam):
+        # P_m + 1 in place of P_m adds Q_m / P_m = (2 lam)_m / (lam)_m to the sum, not an
+        # integer for these lam at m >= 2 (at lam = 1 it is m + 1, which would go unseen)
+        p, q = lam.numerator, lam.denominator
+        for m in range(2, 80):
+            with pytest.raises(ArithmeticError):
+                _lhs_numerator(p, q, m, _rising_product(p, q, m) + 1)
 
     def test_monotone_growth_above_half(self):
         for lam in [Fraction(2, 3), Fraction(1), Fraction(7, 3), Fraction(10)]:
