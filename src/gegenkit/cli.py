@@ -64,9 +64,9 @@ def _parse_literals(literals: list[str], mode_flag: str | None) -> list:
     """Infer the mode from the literals (or check it against --mode) and parse them in it."""
     kinds = {literal_kind(text) for text in literals}
     if "fraction" in kinds and "float" in kinds:
-        raise click.UsageError("cannot mix exact 'p/q' literals and float literals in one invocation")
+        raise ValueError("cannot mix exact 'p/q' literals and float literals in one invocation")
     if mode_flag == "exact" and "float" in kinds:
-        raise click.UsageError("float literal given together with --mode exact")
+        raise ValueError("float literal given together with --mode exact")
     mode = mode_flag or ("float" if "float" in kinds else "exact")
     values = [parse_scalar(text) for text in literals]
     try:
@@ -193,13 +193,13 @@ def at_one(lam_text, degree, mode, fmt):
               help="Float-mode residual bound, finite and >= 0.")
 def verify(lam_list, m_max, mode, fmt, tolerance):
     """Check the convolution identity on the (lambda, m) grid; exit 1 on any failure."""
-    _check_bounds("--m-max", m_max, M_MAX_LIMIT, tolerance)
     texts = [s for s in lam_list.split(",") if s.strip()]
     if not texts:
         raise ValueError("empty lambda list")
     lambdas = _parse_literals(texts, mode)
-    if not isinstance(lambdas[0], float):
-        _check_bounds("--m-max", m_max, EXACT_M_MAX_LIMIT, scope=" in exact mode")
+    limit, scope = ((M_MAX_LIMIT, "") if isinstance(lambdas[0], float)
+                    else (EXACT_M_MAX_LIMIT, " in exact mode"))
+    _check_bounds("--m-max", m_max, limit, tolerance, scope)
     reports = sweep(lambdas, m_max)
     passed = [rep.passed(tolerance) for rep in reports]
     _emit(fmt, [(rep.lam, rep.m, "verify", rep.lhs, rep.rhs, rep.residual, "pass" if ok else "fail")

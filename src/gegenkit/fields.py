@@ -48,7 +48,6 @@ class CoefficientField:
     raises ``ZeroDivisionError`` instead of producing a silent inf/nan.
     """
 
-    name: str
     zero: object
     coerce: Callable
 
@@ -71,8 +70,8 @@ def _to_float(value) -> float:
     raise TypeError(f"cannot coerce {type(value).__name__} into the float64 field")
 
 
-EXACT = CoefficientField("exact", Fraction(0), _to_fraction)
-FLOAT64 = CoefficientField("float64", 0.0, _to_float)
+EXACT = CoefficientField(Fraction(0), _to_fraction)
+FLOAT64 = CoefficientField(0.0, _to_float)
 
 
 def literal_kind(text: str) -> str:

@@ -311,22 +311,21 @@ def majorant_tail(lam, order: int, r):
 
     Returns a Fraction when lam and r are exact and 2 lam is an integer (the closed form
     is then rational); otherwise computes in float, where tiny negative rounding residue
-    is clamped to zero.  The float sum stops once r^k underflows to 0, after which no term
-    adds anything; a partial sum that still overflows returns inf, the only sure bound.
+    is clamped to zero.  r is coerced into that field like every other point, so a bool
+    is refused.  The float sum stops once r^k underflows to 0, after which no term adds
+    anything; a partial sum that still overflows returns inf, the only sure bound.
     """
     lam = check_lambda(lam)
     _check_index(order, "order")
-    if not isinstance(r, (int, Fraction, float)):
-        raise TypeError(f"r must be a Fraction or float, got {type(r).__name__}")
-    if not 0 < r < 1:
-        raise ValueError("r must lie strictly between 0 and 1")
-
     exact = isinstance(lam, Fraction) and not isinstance(r, float) and (2 * lam).denominator == 1
+    rr = (EXACT if exact else FLOAT64).coerce(r)
+    if not 0 < rr < 1:
+        raise ValueError("r must lie strictly between 0 and 1")
     if exact:
-        two_lam, rr = 2 * lam, Fraction(r)
+        two_lam = 2 * lam
         closed = 1 / (1 - rr) ** int(two_lam)
     else:
-        two_lam, rr = 2.0 * float(lam), float(r)
+        two_lam = 2.0 * float(lam)
         closed = _float_power(1.0 - rr, -two_lam, _MAJORANT)
     partial = rr * 0
     power = rr ** 0

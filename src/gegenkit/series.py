@@ -11,6 +11,8 @@ composition route runs `compose_inner_polynomial` on these rows.
 
 from __future__ import annotations
 
+from .coefficients import _check_index
+
 __all__ = ["series_mul", "compose_inner_polynomial"]
 
 
@@ -56,8 +58,7 @@ def compose_inner_polynomial(outer_coeffs, inner: list, order: int) -> list:
     built at a lower order its missing rows are genuinely zero and it is
     widened accordingly.  Only the nonzero coefficients of inner^j are added.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    _check_index(order, "order")
     if not inner or any(inner[0]):
         raise ValueError("inner polynomial must have a zero constant-term row")
     widened = (list(inner) + [[0]] * order)[: order + 1]

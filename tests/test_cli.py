@@ -183,7 +183,7 @@ class TestVerify:
         assert "verify: 4/4 checks passed" in res.stderr
 
     def test_m_max_above_limit_is_usage_error(self, runner):
-        res = invoke(runner, "verify", "--lambda-list", "1", "--m-max", str(M_MAX_LIMIT + 1))
+        res = invoke(runner, "verify", "--lambda-list", "1.0", "--m-max", str(M_MAX_LIMIT + 1))
         assert res.exit_code == 2
         assert res.stdout == ""
         assert f"--m-max must be at most {M_MAX_LIMIT}" in res.stderr
@@ -304,10 +304,9 @@ def _ceiling_cases(excess):
         case("deriv-check", ["deriv-check", "--lambda", "1", "--t", "0.5", "--r", "0.1"], "--order",
              M_MAX_LIMIT),
         case("at-one", ["at-one", "--lambda", "1"], "--degree", M_MAX_LIMIT),
-        # the general ceiling is checked first, so it is the one named far above both
-        case("verify-exact", ["verify", "--lambda-list", "7/3"], "--m-max",
-             *((EXACT_M_MAX_LIMIT, " in exact mode") if EXACT_M_MAX_LIMIT + excess <= M_MAX_LIMIT
-               else (M_MAX_LIMIT,))),
+        case("verify-exact", ["verify", "--lambda-list", "7/3"], "--m-max", EXACT_M_MAX_LIMIT,
+             " in exact mode"),
+        case("verify-float", ["verify", "--lambda-list", "0.5"], "--m-max", M_MAX_LIMIT),
     ]
 
 

@@ -53,6 +53,10 @@ class TestLiterals:
         assert format_exact(Fraction(-1, 2)) == "-1/2"
         assert format_scalar(Fraction(0)) == "0/1"
 
+    def test_format_scalar_refuses_a_non_scalar(self):
+        with pytest.raises(TypeError, match="cannot serialize str as a scalar"):
+            format_scalar("1/2")
+
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_format_float_round_trips(self, x):
         assert float(format_float(x)) == x

@@ -105,8 +105,10 @@ class TestParams:
         lambda x: value_via_conjugate_product(2.5, x, 3),
         lambda x: derivative_interchange_check(2.5, x, 0.5, 5),
         lambda x: derivative_interchange_check(2.5, 0.5, x, 5),
+        lambda x: majorant_tail(2.5, 3, x),
+        lambda x: majorant_tail(Fraction(1), 3, x),
     ], ids=["value-exact", "value-float", "evaluate-exact", "evaluate-float", "conjugate-phi",
-            "deriv-t", "deriv-r"])
+            "deriv-t", "deriv-r", "majorant-r-float", "majorant-r-exact"])
     def test_bool_point_is_rejected(self, call, point):
         # True must not run as t = 1 (or phi, r = 1), nor False as 0
         with pytest.raises(TypeError, match="cannot coerce bool"):
@@ -602,6 +604,14 @@ class TestMajorantTail:
     def test_r_domain(self, bad_r):
         with pytest.raises(ValueError):
             majorant_tail(Fraction(1), 3, bad_r)
+
+    def test_r_is_coerced_before_its_range_check(self):
+        # r goes through the field's coercion: a str is refused by it, and an exact r
+        # that rounds to 1.0 on the float path is out of range, not a division by zero
+        with pytest.raises(TypeError, match="cannot coerce str"):
+            majorant_tail(Fraction(1), 3, "1/2")
+        with pytest.raises(ValueError, match="r must lie strictly between 0 and 1"):
+            majorant_tail(1.0, 3, Fraction(10**20 - 1, 10**20))
 
     def test_tail_bounds_partial_sums(self):
         """|sum_{m<=M} C_m(t) r^m - closed form| <= majorant_tail(lam, M, r) + 1e-12.

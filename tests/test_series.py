@@ -149,9 +149,10 @@ class TestCompose:
         with pytest.raises(ValueError, match="zero constant-term row"):
             compose_inner_polynomial(lambda j: 1, [], 3)
 
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError, match="order must be nonnegative"):
-            compose_inner_polynomial(lambda j: 1, [[0], [1]], -1)
+    @pytest.mark.parametrize("order", [-1, True, 2.0], ids=["negative", "bool", "float"])
+    def test_negative_order_rejected(self, order):
+        with pytest.raises(ValueError, match="order must be a nonnegative integer"):
+            compose_inner_polynomial(lambda j: 1, [[0], [1]], order)
 
     def test_inner_beyond_order_is_cut(self):
         # rows of the inner series past the order cannot reach r^order
