@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .fields import EXACT
+
 __all__ = [
     "check_lambda",
     "gamma_ratios",
@@ -52,11 +54,11 @@ def gamma_ratios(x, m: int) -> list:
     """[(x)_k / k! for k = 0..m], as the running product of (x+k)/(k+1).
 
     The incremental form keeps float evaluation overflow-free for any x
-    where the values fit.  An int x is taken as Fraction(x).
+    where the values fit.  Any x but a float goes through `EXACT.coerce`.
     """
     _check_index(m)
-    if isinstance(x, int):
-        x = Fraction(x)
+    if not isinstance(x, float):
+        x = EXACT.coerce(x)
     c = x ** 0
     out = [c]
     for k in range(m):
@@ -69,7 +71,7 @@ def gamma_ratio_coefficient(x, m: int):
     """(x)_m / m!: exact x = p/q gives P_m / (q^m m!); a float x gives gamma_ratios(x, m)[m]."""
     if isinstance(x, float):
         return gamma_ratios(x, m)[m]
-    x = Fraction(x)
+    x = EXACT.coerce(x)
     q = x.denominator
     return Fraction(_rising_product(x.numerator, q, m), q**m * math.factorial(m))
 

@@ -57,7 +57,6 @@ __all__ = [
 ]
 
 _IMAG_TOLERANCE = 1e-10
-_MAJORANT = "majorant closed form (1 - r)^(-2 lam)"
 
 
 class Route(enum.Enum):
@@ -95,6 +94,7 @@ class GegenbauerTable:
     route: Route
 
     def __post_init__(self):
+        object.__setattr__(self, "route", Route(self.route))
         if self.params.field is EXACT:
             self.polys  # built now, not on first read
         elif self.route is Route.COMPOSITION:
@@ -109,9 +109,7 @@ class GegenbauerTable:
                     else islice(_exact_rows(p, q), n + 1))
             return tuple(Polynomial._of([Fraction(c, d) if c else f.zero for c in row], f)
                          for row, d in rows)
-        steps = ((2 * (m + lam - 1) / m, (m + 2 * lam - 2) / m) for m in range(2, n + 1))
-        rows = islice(_parity_rows([f.zero, 2 * lam], steps), n + 1)
-        return tuple(Polynomial._of(row, f) for row in rows)
+        return tuple(Polynomial._of(row, f) for row in islice(_float_rows(lam), n + 1))
 
     def evaluate(self, m: int, t):
         """C_m at t in the table's own field.
@@ -167,15 +165,14 @@ def _next_row(a, b, row: list, older: list, zero) -> list:
     return out
 
 
-def _parity_rows(first: list, steps):
-    """Coefficient rows of a three-term recurrence: [1], `first`, then for m = 2, 3, ...
-    row_m = a t row_{m-1} - b row_{m-2} (`_next_row`), with (a, b) the m-th item of `steps`."""
-    zero = first[0]
-    older, row = [zero + 1], first
+def _float_rows(lam: float):
+    """Coefficient rows of C_m for a float lam, m = 0, 1, ...: [1.0], [0.0, 2 lam], then
+    m C_m = 2 t (m + lam - 1) C_{m-1} - (m + 2 lam - 2) C_{m-2} (`_next_row`)."""
+    older, row = [1.0], [0.0, 2 * lam]
     yield older
     yield row
-    for a, b in steps:
-        older, row = row, _next_row(a, b, row, older, zero)
+    for m in count(2):
+        older, row = row, _next_row(2 * (m + lam - 1) / m, (m + 2 * lam - 2) / m, row, older, 0.0)
         yield row
 
 
@@ -301,6 +298,30 @@ def _float_power(base: float, exponent: float, what: str) -> float:
         raise OverflowError(f"{what} is not finite") from None
 
 
+def _power_sum(coeffs, r, power):
+    """sum_k c_k power r^k over `coeffs`, stopped once the running power underflows to 0:
+    no later term adds anything, and an overflowing c_k cannot turn the sum into nan."""
+    total = power * 0
+    for c in coeffs:
+        if not power:
+            break  # every later term adds exactly 0
+        total += c * power
+        power *= r
+    return total
+
+
+def _majorant_remainder(two_lam, terms: int, r):
+    """(1 - r)^(-two_lam) less its first `terms` terms (two_lam)_k / k! r^k, k < terms:
+    exact for a Fraction r (two_lam is then an integer, so `**` is exact).  A float r
+    computes the closed form first, clamps rounding residue below 0 to 0 and returns inf
+    for a partial sum that overflows, the only sure bound."""
+    closed = _float_power(1 - r, -two_lam, "majorant closed form (1 - r)^(-2 lam)")
+    partial = _power_sum(gamma_ratios(two_lam, terms - 1) if terms else (), r, r ** 0)
+    if isinstance(r, Fraction):
+        return closed - partial
+    return max(closed - partial, 0.0) if isfinite(partial) else inf
+
+
 def majorant_tail(lam, order: int, r):
     """Upper bound on |sum_{m>order} C_m(t) r^m| valid for every t in [-1, 1].
 
@@ -311,9 +332,8 @@ def majorant_tail(lam, order: int, r):
 
     Returns a Fraction when lam and r are exact and 2 lam is an integer (the closed form
     is then rational); otherwise computes in float, where tiny negative rounding residue
-    is clamped to zero.  r is coerced into that field like every other point, so a bool
-    is refused.  The float sum stops once r^k underflows to 0, after which no term adds
-    anything; a partial sum that still overflows returns inf, the only sure bound.
+    is clamped to zero and an overflowing partial sum gives inf.  r is coerced into that
+    field like every other point, so a bool is refused.
     """
     lam = check_lambda(lam)
     _check_index(order, "order")
@@ -321,22 +341,7 @@ def majorant_tail(lam, order: int, r):
     rr = (EXACT if exact else FLOAT64).coerce(r)
     if not 0 < rr < 1:
         raise ValueError("r must lie strictly between 0 and 1")
-    if exact:
-        two_lam = 2 * lam
-        closed = 1 / (1 - rr) ** int(two_lam)
-    else:
-        two_lam = 2.0 * float(lam)
-        closed = _float_power(1.0 - rr, -two_lam, _MAJORANT)
-    partial = rr * 0
-    power = rr ** 0
-    for c in gamma_ratios(two_lam, order):
-        if not power:
-            break  # every later term adds exactly 0
-        partial += c * power
-        power *= rr
-    if exact:
-        return closed - partial
-    return max(closed - partial, 0.0) if isfinite(partial) else inf
+    return _majorant_remainder(2 * lam if exact else 2.0 * float(lam), order + 1, rr)
 
 
 @dataclass(frozen=True)
@@ -360,11 +365,11 @@ def derivative_interchange_check(lam, t, r, order: int) -> DerivativeInterchange
     chain rule.  B sums C_m'(t) = 2 lam C_{m-1}^{lam+1}(t) (DLMF 18.9.19) as
     2 lam C_k^{lam+1}(t) r^(k+1) for k < order, every value from one pass of
     the recurrence on values at lam + 1; no table is built.  The report also
-    carries an analytic tail budget 2 lam r * majorant_tail(lam+1, order-1, r):
-    term-wise derivatives grow like the lam+1 family, so the same majorant
-    argument bounds what the partial sum leaves out.  The budget is an empirical check harness
-    quantity; the suite verifies it covers the residual, and the residual
-    itself is the number the tolerance applies to.
+    carries an analytic tail budget 2 lam r times the lam+1 majorant remainder, from
+    the kernel of `majorant_tail`: term-wise derivatives grow like the lam+1 family, so
+    the same majorant argument bounds what the partial sum leaves out.  The budget is an
+    empirical check harness quantity; the suite verifies it covers the residual, and the
+    residual itself is the number the tolerance applies to.
 
     r = 0 is admitted as the trivial case (every term carries a factor r, so
     A = B = 0 and the budget is 0).
@@ -382,16 +387,8 @@ def derivative_interchange_check(lam, t, r, order: int) -> DerivativeInterchange
     closed = 2.0 * lam_f * r_f * _float_power(base, -lam_f - 1.0,
                                               "closed form (1 - 2rt + r^2)^(-lam-1)")
 
-    partial = 0.0
-    power = r_f
-    for c in _float_values(lam_f + 1.0, t_f, order - 1):
-        if not power:
-            break  # every later term adds exactly 0
-        partial += 2.0 * lam_f * c * power
-        power *= r_f
+    derivs = (2.0 * lam_f * c for c in _float_values(lam_f + 1.0, t_f, order - 1))
+    partial = _power_sum(derivs, r_f, r_f)
     residual = abs(closed - partial)
-
-    tail = (majorant_tail(lam_f + 1.0, order - 1, r_f) if order
-            else _float_power(1.0 - r_f, -2.0 * (lam_f + 1.0), _MAJORANT))
-    budget = 2.0 * lam_f * r_f * tail
+    budget = 2.0 * lam_f * r_f * _majorant_remainder(2.0 * (lam_f + 1.0), order, r_f)
     return DerivativeInterchangeReport(lam_f, t_f, r_f, order, closed, partial, residual, budget)

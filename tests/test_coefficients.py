@@ -78,6 +78,15 @@ class TestGammaRatioCoefficient:
         with pytest.raises(ValueError):
             gamma_ratios(Fraction(1), -1)
 
+    @pytest.mark.parametrize("x, kind", [(True, "bool"), ("1/2", "str"), (1j, "complex")],
+                             ids=["bool", "str", "complex"])
+    @pytest.mark.parametrize("call", [gamma_ratios, gamma_ratio_coefficient],
+                             ids=["ratios", "coefficient"])
+    def test_non_scalar_argument_is_refused(self, call, x, kind):
+        # True must not run as x = 1, nor a str be parsed
+        with pytest.raises(TypeError, match=f"cannot coerce {kind}"):
+            call(x, 3)
+
     def test_float_matches_exact_within_1e12(self):
         rng = random.Random(99)
         cases = [(Fraction(p, q), m) for p, q, m in

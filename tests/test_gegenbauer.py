@@ -16,6 +16,7 @@ from gegenkit.coefficients import gamma_ratio_coefficient
 from gegenkit.fields import EXACT, FLOAT64
 from gegenkit.gegenbauer import (
     GegenbauerParams,
+    GegenbauerTable,
     Route,
     derivative_interchange_check,
     majorant_tail,
@@ -72,6 +73,17 @@ class TestParams:
         tbl2 = table_via_composition(GegenbauerParams(Fraction(7, 3), 6))
         assert {tbl, tbl2} == {tbl2, tbl} and len({tbl, tbl2}) == 2
         assert {tbl, tbl2, table_via_recurrence(GegenbauerParams(Fraction(7, 3), 6))} == {tbl, tbl2}
+
+    def test_route_is_taken_as_a_route(self, row_builds):
+        # a str route must build the rows it names and meet the checks the enum meets
+        params = GegenbauerParams(Fraction(1, 2), 3)
+        tbl = GegenbauerTable(params, "composition")
+        assert tbl.route is Route.COMPOSITION and tbl == table_via_composition(params)
+        assert row_builds == ["_composition_rows", "_composition_rows"]
+        with pytest.raises(ValueError, match="'bogus' is not a valid Route"):
+            GegenbauerTable(params, "bogus")
+        with pytest.raises(ValueError, match="the composition route supports exact mode only"):
+            GegenbauerTable(GegenbauerParams(0.5, 3), "composition")
 
     @pytest.mark.parametrize("call", [
         lambda: GegenbauerParams(2.5, True),
@@ -236,7 +248,7 @@ class TestRecurrenceKernels:
 
 @pytest.fixture
 def row_builds(monkeypatch):
-    """Records the name of each call of a row builder: `gegenbauer._parity_rows` (float
+    """Records the name of each call of a row builder: `gegenbauer._float_rows` (float
     recurrence), `_exact_rows` (exact recurrence) and `_composition_rows`."""
     calls = []
 
@@ -246,7 +258,7 @@ def row_builds(monkeypatch):
             return build(*args)
         return wrapper
 
-    for name in ("_parity_rows", "_exact_rows", "_composition_rows"):
+    for name in ("_float_rows", "_exact_rows", "_composition_rows"):
         monkeypatch.setattr(gegenbauer, name, counting(name, getattr(gegenbauer, name)))
     return calls
 
@@ -649,8 +661,24 @@ class TestDerivativeFamilyRelation:
 
 class TestDerivativeInterchange:
     def test_r_zero_trivial(self):
-        rep = derivative_interchange_check(1.0, 0.3, 0.0, 25)
-        assert rep.closed_form == rep.partial_sum == rep.residual == rep.tail_budget == 0.0
+        for r in (0.0, -0.0):
+            rep = derivative_interchange_check(1.0, 0.3, r, 25)
+            assert rep.closed_form == rep.partial_sum == rep.residual == rep.tail_budget == 0.0
+            # a negative zero must not leak into the printed figures
+            for x in (rep.closed_form, rep.partial_sum, rep.residual, rep.tail_budget):
+                assert math.copysign(1.0, x) == 1.0
+
+    def test_tail_budget_is_the_lifted_majorant_remainder(self):
+        # 2 lam r times the lam + 1 majorant remainder after order - 1, to the bit; at
+        # order 0 nothing is subtracted, so the budget is 2 lam r (1 - r)^(-2 (lam + 1))
+        for lam in (0.5, 1.0, 2.5):
+            for t in (-1.0, 0.3, 1.0):
+                for r in (0.01, 0.4, 0.9):
+                    for order in (0, 1, 7, 40):
+                        rep = derivative_interchange_check(lam, t, r, order)
+                        tail = (majorant_tail(lam + 1.0, order - 1, r) if order
+                                else (1.0 - r) ** (-2.0 * (lam + 1.0)))
+                        assert rep.tail_budget.hex() == (2.0 * lam * r * tail).hex()
 
     def test_closed_form_value_at_one(self):
         rep = derivative_interchange_check(1.0, 1.0, 0.5, 60)
