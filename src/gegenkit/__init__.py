@@ -8,70 +8,21 @@ and verifies the rising-factorial convolution identity
     sum_{k=0}^m (lam)_k (lam)_{m-k} / (k! (m-k)!)  ==  (2 lam)_m / m!
 
 exactly over the rationals and to tolerance over floats.
+
+Each public name is declared once, in the `__all__` of the layer that defines it;
+the package re-exports those lists.  `cli` is not imported here, so that importing
+the library does not load click.
 """
 
-from .coefficients import gamma_ratio_coefficient, gamma_ratios
-from .fields import (
-    EXACT,
-    FLOAT64,
-    CoefficientField,
-    format_exact,
-    format_float,
-    format_scalar,
-    literal_kind,
-    parse_exact,
-    parse_scalar,
-)
-from .gegenbauer import (
-    ConjugateValue,
-    DerivativeInterchangeReport,
-    GegenbauerParams,
-    GegenbauerTable,
-    Route,
-    derivative_interchange_check,
-    majorant_tail,
-    table_via_composition,
-    table_via_recurrence,
-    value_at_one,
-    value_via_conjugate_product,
-    value_via_recurrence,
-)
-from .identity import IdentityReport, identity_lhs, identity_rhs, sweep, verify
-from .polynomials import Polynomial
-from .series import compose_inner_polynomial, series_mul
+from . import coefficients, fields, gegenbauer, identity, polynomials, series
+from .coefficients import *
+from .fields import *
+from .gegenbauer import *
+from .identity import *
+from .polynomials import *
+from .series import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoefficientField",
-    "EXACT",
-    "FLOAT64",
-    "parse_exact",
-    "parse_scalar",
-    "literal_kind",
-    "format_exact",
-    "format_float",
-    "format_scalar",
-    "gamma_ratios",
-    "gamma_ratio_coefficient",
-    "Polynomial",
-    "series_mul",
-    "compose_inner_polynomial",
-    "Route",
-    "GegenbauerParams",
-    "GegenbauerTable",
-    "ConjugateValue",
-    "DerivativeInterchangeReport",
-    "table_via_composition",
-    "table_via_recurrence",
-    "value_via_recurrence",
-    "value_via_conjugate_product",
-    "value_at_one",
-    "majorant_tail",
-    "derivative_interchange_check",
-    "IdentityReport",
-    "identity_lhs",
-    "identity_rhs",
-    "verify",
-    "sweep",
-]
+__all__ = [*fields.__all__, *coefficients.__all__, *polynomials.__all__, *series.__all__,
+           *gegenbauer.__all__, *identity.__all__]

@@ -28,9 +28,8 @@ import click
 from .fields import format_exact, format_scalar, literal_kind, parse_scalar
 from .gegenbauer import (
     GegenbauerParams,
+    GegenbauerTable,
     derivative_interchange_check,
-    table_via_composition,
-    table_via_recurrence,
     value_at_one,
     value_via_recurrence,
 )
@@ -146,11 +145,10 @@ cli.command_class = _Command
 @_format_option
 def table(lam_text, order, route, mode, fmt):
     """Print one row per degree m with the coefficients of C_m, lowest power first."""
-    build, limit = ((table_via_composition, COMPOSITION_LIMIT) if route == "composition"
-                    else (table_via_recurrence, ORDER_LIMIT))
+    limit = COMPOSITION_LIMIT if route == "composition" else ORDER_LIMIT
     _check_bounds("--order", order, limit, scope=f" on the {route} route")
     (lam,) = _parse_literals([lam_text], mode)
-    tbl = build(GegenbauerParams(lam, order))
+    tbl = GegenbauerTable(GegenbauerParams(lam, order), route)
     _emit(fmt, [(lam, m, route, poly.coeffs, None, None, "ok") for m, poly in enumerate(tbl.polys)],
           lambda rows: (f"m={row[1]}: {row[3]}" for row in rows))
 

@@ -291,10 +291,11 @@ def value_at_one(lam, m: int):
 
 
 def _float_power(base: float, exponent: float, what: str) -> float:
-    """base ** exponent; on overflow, OverflowError saying that `what` is not finite."""
+    """base ** exponent; on overflow, OverflowError saying that `what` is not finite.
+    A base that rounded to 0.0 under a negative exponent overflows too: IEEE gives +inf."""
     try:
         return base ** exponent
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         raise OverflowError(f"{what} is not finite") from None
 
 
@@ -331,9 +332,11 @@ def majorant_tail(lam, order: int, r):
     exact remainder of the majorant series.
 
     Returns a Fraction when lam and r are exact and 2 lam is an integer (the closed form
-    is then rational); otherwise computes in float, where tiny negative rounding residue
-    is clamped to zero and an overflowing partial sum gives inf.  r is coerced into that
-    field like every other point, so a bool is refused.
+    is then rational), and the bound is then exact.  Otherwise it computes in float:
+    the difference is accurate only to about u (1-r)^(-2 lam) absolute, u the unit
+    roundoff, so a tail below that can come out smaller than the true tail, even 0.0.
+    Negative rounding residue is clamped to zero and an overflowing partial sum gives
+    inf.  r is coerced into that field like every other point, so a bool is refused.
     """
     lam = check_lambda(lam)
     _check_index(order, "order")

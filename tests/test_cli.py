@@ -253,6 +253,15 @@ class TestDerivCheck:
             assert res.stdout == ""
             assert res.stderr.splitlines()[-1] == f"Error: float overflow: {form} is not finite"
 
+    def test_base_rounded_to_zero_is_a_float_overflow(self, runner):
+        # 1 - 2rt + r^2 rounds to 0.0: a float overflow, not a defect in exact arithmetic
+        res = invoke(runner, "deriv-check", "--lambda", "1", "--t", "1", "--r", "0.999999999",
+                     "--order", "5")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines()[-1] == (
+            "Error: float overflow: closed form (1 - 2rt + r^2)^(-lam-1) is not finite")
+
     def test_high_order_passes(self, runner):
         # true truncation residual 7.1e-12; the value-space sum reaches it
         res = invoke(runner, "deriv-check", "--lambda", "1", "--t", "0.5", "--r", "0.9",

@@ -603,6 +603,15 @@ class TestMajorantTail:
             majorant_tail(400.0, 5, 0.9)
         assert str(exc.value) == f"{MAJORANT} is not finite"
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the float remainder is the closed form less the partial sum, "
+                              "accurate only to about u (1-r)^(-2 lam) absolute")
+    def test_float_tail_is_not_below_the_exact_tail(self):
+        # the float gives 0.0 against 6.90e-60, and 1.82673876025774e-10 against 1.8267552e-10
+        cases = [(1, 60, 0.1), (3, 20, 0.2)]
+        assert [(lam, order, r) for lam, order, r in cases if majorant_tail(float(lam), order, r)
+                < majorant_tail(Fraction(lam), order, Fraction(r))] == []
+
     def test_overflowing_partial_sum_is_inf(self):
         # (600)_k / k! overflows at k = 440, where 0.5^k is still 1e-133; the true tail is 1.05e178
         assert majorant_tail(300.0, 700, 0.5) == math.inf
@@ -718,6 +727,12 @@ class TestDerivativeInterchange:
         with pytest.raises(OverflowError) as exc:
             derivative_interchange_check(300.0, t, 0.99, order)
         assert str(exc.value) == f"{form} is not finite"
+
+    def test_base_rounded_to_zero_is_a_named_overflow(self):
+        # 1 - 2rt + r^2 rounds to 0.0 at t = 1, r = 1 - 1e-9, and 0.0 ** -2 raises ZeroDivisionError
+        with pytest.raises(OverflowError) as exc:
+            derivative_interchange_check(1.0, 1.0, 0.999999999, 5)
+        assert str(exc.value) == "closed form (1 - 2rt + r^2)^(-lam-1) is not finite"
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
