@@ -122,7 +122,9 @@ class _Command(click.Command):
             raise click.UsageError(f"arithmetic defect: {exc}", ctx)
 
 
-_mode_option = click.option("--mode", type=click.Choice(["exact", "float"]), default=None)
+_lambda_option = click.option("--lambda", "lam_text", required=True, help="Order parameter lambda > 0.")
+_mode_option = click.option("--mode", type=click.Choice(["exact", "float"]), default=None,
+                            help="Default: float if any literal is a decimal, else exact (p/q or integer).")
 _format_option = click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]), default="text")
 
 
@@ -135,7 +137,7 @@ cli.command_class = _Command
 
 
 @cli.command()
-@click.option("--lambda", "lam_text", required=True, help="Order parameter, > 0 ('p/q' or decimal).")
+@_lambda_option
 @click.option("--order", type=int, required=True,
               help=f"Largest degree N to tabulate, at most {COMPOSITION_LIMIT} on the composition"
                    f" route and {ORDER_LIMIT} on the recurrence route.")
@@ -154,7 +156,7 @@ def table(lam_text, order, route, mode, fmt):
 
 
 @cli.command("eval")
-@click.option("--lambda", "lam_text", required=True)
+@_lambda_option
 @click.option("--degree", type=int, required=True, help=f"Degree m, at most {M_MAX_LIMIT}.")
 @click.option("--t", "t_text", required=True, help="Evaluation point (any finite magnitude).")
 @_mode_option
@@ -170,7 +172,7 @@ def eval_cmd(lam_text, degree, t_text, mode, fmt):
 
 
 @cli.command("at-one")
-@click.option("--lambda", "lam_text", required=True)
+@_lambda_option
 @click.option("--degree", type=int, required=True, help=f"Degree m, at most {M_MAX_LIMIT}.")
 @_mode_option
 @_format_option
@@ -217,9 +219,9 @@ def _deriv_lines(rows):
 
 
 @cli.command("deriv-check")
-@click.option("--lambda", "lam_text", required=True)
-@click.option("--t", "t_text", required=True)
-@click.option("--r", "r_text", required=True)
+@_lambda_option
+@click.option("--t", "t_text", required=True, help="Point t in [-1, 1].")
+@click.option("--r", "r_text", required=True, help="Series variable r in [0, 1).")
 @click.option("--order", type=int, required=True,
               help=f"Truncation order N, at most {M_MAX_LIMIT}.")
 @click.option("--tolerance", type=float, default=1e-10, show_default=True,

@@ -30,18 +30,14 @@ def _check_index(m, name: str = "index") -> None:
 
 
 def check_lambda(lam):
-    """Return lam, an int taken as Fraction; only positive rationals and finite floats pass."""
-    if isinstance(lam, float):
-        if not math.isfinite(lam):
-            raise ValueError("lambda must be finite")
-        if lam <= 0.0:
-            raise ValueError("lambda must be positive")
-        return lam
-    if not isinstance(lam, (int, Fraction)) or isinstance(lam, bool):
-        raise TypeError(f"lambda must be a Fraction or float, got {type(lam).__name__}")
+    """Return lam, positive: a finite float as is, anything else through `EXACT.coerce`."""
+    if not isinstance(lam, float):
+        lam = EXACT.coerce(lam)
+    elif not math.isfinite(lam):
+        raise ValueError("lambda must be finite")
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    return Fraction(lam)
+    return lam
 
 
 def _rising_product(a: int, q: int, m: int) -> int:

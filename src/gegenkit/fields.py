@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-_EXACT_LITERAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_EXACT_LITERAL = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
 
 
 def _normalize_literal(text: str) -> str:
@@ -79,9 +79,12 @@ def literal_kind(text: str) -> str:
 
     Integer literals are mode-neutral (they denote the same value in both
     fields); 'p/q' demands exact mode and anything with a decimal point or an
-    exponent demands float mode.  Raises ValueError for malformed input.
+    exponent demands float mode.  Raises ValueError for malformed input, and for
+    what float() takes beyond that grammar: '_' separators and non-ASCII digits.
     """
     s = _normalize_literal(text)
+    if not s.isascii() or "_" in s:
+        raise ValueError(f"not a scalar literal: {text!r}")
     if _EXACT_LITERAL.match(s):
         return "fraction" if "/" in s else "integer"
     try:
@@ -115,7 +118,8 @@ def format_exact(value) -> str:
 
     CPython caps int-to-decimal conversion (4300 digits by default) to guard
     parsing against quadratic-time input.  Output of any size is ours to
-    print, so the cap is lifted for this conversion only; parsing keeps it.
+    print, so the cap is lifted while this conversion runs.  The setting is global to
+    the interpreter: for that while, parsing in any other thread runs uncapped too.
     """
     f = EXACT.coerce(value)
     cap = sys.get_int_max_str_digits()

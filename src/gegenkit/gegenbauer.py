@@ -180,28 +180,26 @@ def _exact_rows(p: int, q: int):
     """(R_m, d_m) for m = 0, 1, ...: C_m = R_m / d_m in integers, lam = p/q, with
     gcd(d_m, *R_m) = 1, so d_m is the lcm of the reduced denominators of row m.
 
-    With L = lcm(d_{m-1}, d_{m-2}) and (a_m, b_m) from `_exact_steps`, row m is
-    a_m (m-1) q (L / d_{m-1}) t R_{m-1} - b_m (L / d_{m-2}) R_{m-2} over m (m-1) q^2 L,
-    and both are divided by their gcd.  So each row is carried reduced, and the
-    per-coefficient reduction R_m[j] / d_m works on numbers no larger than it needs.
+    From (C_-1, C_0) = (0, 1), with L = lcm(d_{m-1}, d_{m-2}) and (a_m, b_m) from
+    `_exact_steps`, row m is a_m (L / d_{m-1}) t R_{m-1} - b_m (L / d_{m-2}) R_{m-2}
+    over m q L, and both are divided by their gcd.  So each row is carried reduced, and
+    the per-coefficient reduction R_m[j] / d_m works on numbers no larger than it needs.
     """
-    g = gcd(2 * p, q)
-    older, d_older, row, d = [1], 1, [0, 2 * p // g], q // g
-    yield older, d_older
-    yield row, d
-    for m, (a, b) in enumerate(islice(_exact_steps(p, q), 1, None), 2):
+    older, d_older, row, d = [0], 1, [1], 1
+    for m, (a, b) in enumerate(_exact_steps(p, q), 1):
+        yield row, d
         common = lcm(d, d_older)
-        new = _next_row(a * (m - 1) * q * (common // d), b * (common // d_older), row, older, 0)
-        den = m * (m - 1) * q * q * common
+        new = _next_row(a * (common // d), b * (common // d_older), row, older, 0)
+        den = m * q * common
         g = gcd(den, *new)
         older, d_older, row, d = row, d, [x // g for x in new], den // g
-        yield row, d
 
 
 def _exact_steps(p: int, q: int):
-    """(a_k, b_k), k >= 1, of D_k = a_k t D_{k-1} - b_k D_{k-2} on D_k = q^k k! C_k, lam = p/q."""
+    """(a_k, b_k), k >= 1, of k q C_k = a_k t C_{k-1} - b_k C_{k-2}, lam = p/q (DLMF 18.9.1):
+    the recurrence on C_k itself, which C_-1 = 0, C_0 = 1 start."""
     for k in count(1):
-        yield 2 * ((k - 1) * q + p), (k - 1) * q * ((k - 2) * q + 2 * p)
+        yield 2 * ((k - 1) * q + p), (k - 2) * q + 2 * p
 
 
 def table_via_recurrence(params: GegenbauerParams) -> GegenbauerTable:
@@ -230,8 +228,8 @@ def value_via_recurrence(lam, m: int, t):
 
     A float lam runs in float.  An exact lam = p/q with t = u/v (t is taken
     exactly, as a table of that lam would take it) runs in integers on
-    E_k = q^k k! v^k C_k(u/v), E_k = a_k u E_{k-1} - v^2 b_k E_{k-2} with
-    (a_k, b_k) from `_exact_steps`, and reduces once, as E_m / (q^m m! v^m).
+    E_k = (q v)^k k! C_k(u/v), E_k = a_k u E_{k-1} - (k-1) q b_k v^2 E_{k-2} with
+    (a_k, b_k) from `_exact_steps`, and reduces once, as E_m / ((q v)^m m!).
     A float t that is inf or nan raises ValueError.
     """
     lam = check_lambda(lam)
@@ -246,8 +244,8 @@ def value_via_recurrence(lam, m: int, t):
     t = EXACT.coerce(t)
     u, v = t.numerator, t.denominator
     older, value = 0, 1
-    for a, b in islice(_exact_steps(p, q), m):
-        older, value = value, a * u * value - v * v * b * older
+    for j, (a, b) in enumerate(islice(_exact_steps(p, q), m)):
+        older, value = value, a * u * value - j * q * b * v * v * older
     return Fraction(value, (q * v) ** m * factorial(m))
 
 

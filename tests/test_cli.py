@@ -133,6 +133,15 @@ class TestEvalAndAtOne:
         res = invoke(runner, "at-one", "--lambda", "1" * (cap + 1), "--degree", "2")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("lam", ["1_5", "١", "٣/٤"], ids=["underscore", "arabic-indic", "fraction"])
+    @pytest.mark.parametrize("command", [("eval", "--t", "0.5"), ("at-one",)], ids=["eval", "at-one"])
+    def test_python_only_literal_is_usage_error(self, runner, command, lam):
+        # float() would read '1_5' as 15.0 and Fraction() would read '١' as 1
+        res = invoke(runner, command[0], "--lambda", lam, "--degree", "3", *command[1:])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"not a scalar literal: {lam!r}" in res.stderr
+
 
 def _digits(value: Fraction) -> str:
     """'p/q' of any length, with the int-to-str cap lifted for this test only."""

@@ -48,6 +48,17 @@ class TestLiterals:
         with pytest.raises(ValueError):
             literal_kind("wat")
 
+    @pytest.mark.parametrize("bad", ["1_5", "1_000.5", "1e1_0", "١", "٣/٤", "１.５"],
+                             ids=["underscore", "underscore-float", "underscore-exponent",
+                                  "arabic-indic", "arabic-indic-fraction", "fullwidth-float"])
+    def test_python_only_number_forms_are_refused(self, bad):
+        # float() and Fraction() take '_' separators and non-ASCII digits; the grammar does not
+        for parse in (literal_kind, parse_scalar):
+            with pytest.raises(ValueError, match="not a scalar literal"):
+                parse(bad)
+        with pytest.raises(ValueError, match="not an exact rational literal"):
+            parse_exact(bad)
+
     def test_format_exact_always_p_over_q(self):
         assert format_exact(Fraction(3)) == "3/1"
         assert format_exact(Fraction(-1, 2)) == "-1/2"

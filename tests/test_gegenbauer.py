@@ -96,7 +96,7 @@ class TestParams:
         with pytest.raises(ValueError, match="must be a nonnegative integer"):
             call()
 
-    @pytest.mark.parametrize("lam", [True, False])
+    @pytest.mark.parametrize("lam", [True, False, "1/2"])
     @pytest.mark.parametrize("call", [
         lambda lam: GegenbauerParams(lam, 3),
         lambda lam: sweep([lam], 3),
@@ -104,8 +104,9 @@ class TestParams:
         lambda lam: majorant_tail(lam, 3, 0.5),
     ], ids=["params", "sweep", "at-one", "majorant"])
     def test_bool_lambda_is_rejected(self, call, lam):
-        # a bool is an int to isinstance, but True must not run as lambda = 1
-        with pytest.raises(TypeError, match="lambda must be a Fraction or float, got bool"):
+        # a bool is an int to isinstance, but True must not run as lambda = 1; a literal
+        # is parsed by `fields`, never taken as lambda as it stands
+        with pytest.raises(TypeError, match=f"cannot coerce {type(lam).__name__} into the exact field"):
             call(lam)
 
     @pytest.mark.parametrize("point", [True, False], ids=["true", "false"])

@@ -23,6 +23,10 @@ class TestConstruction:
         assert Polynomial([0.0, -0.5], FLOAT64).degree == 1
         assert Polynomial([math.nan], FLOAT64).degree == 0
 
+    def test_repr_lists_the_coefficients(self):
+        assert repr(Polynomial([1, Fraction(1, 2), 0])) == "Polynomial([Fraction(1, 1), Fraction(1, 2)])"
+        assert repr(Polynomial([0.5], FLOAT64)) == "Polynomial([0.5])"
+
     def test_float_field(self):
         p = Polynomial([1, 0.5], FLOAT64)
         assert p.coeffs == (1.0, 0.5)
