@@ -38,7 +38,10 @@ from .identity import sweep
 __all__ = ["cli"]
 
 M_MAX_LIMIT = 10_000
-"""Largest `verify --m-max`, `at-one --degree`, `eval --degree` and `deriv-check --order`: O(m) work."""
+"""Largest `verify --m-max`, `at-one --degree`, `eval --degree` and `deriv-check --order`.
+
+O(m) work per check; float `verify` checks every m up to it, O(m^2) work per lambda.
+"""
 EXACT_M_MAX_LIMIT = 1_500
 """Largest exact `verify --m-max`: O(m^2) big-by-small products, about 2 s for one lambda = 7/3."""
 ORDER_LIMIT = 1_000

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from collections.abc import Callable
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 __all__ = [
@@ -103,6 +103,8 @@ def parse_exact(text: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational literal: {text!r}") from None
+    except ValueError:  # the grammar admitted s, so only the int-from-str cap refuses it
+        raise ValueError(f"exact literal too long: {len(s)} characters") from None
 
 
 def parse_scalar(text: str):
@@ -116,18 +118,17 @@ def parse_scalar(text: str):
 def format_exact(value) -> str:
     """Serialize an exact scalar as 'p/q'; the denominator is always written.
 
-    CPython caps int-to-decimal conversion (4300 digits by default) to guard
+    CPython caps int-to-str conversion (4300 digits by default) to guard
     parsing against quadratic-time input.  Output of any size is ours to
-    print, so the cap is lifted while this conversion runs.  The setting is global to
-    the interpreter: for that while, parsing in any other thread runs uncapped too.
+    print: past the cap both integers are written through `decimal.Decimal`,
+    whose conversion from int is exact and uncapped.  The interpreter's
+    setting is never touched.
     """
     f = EXACT.coerce(value)
-    cap = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
         return f"{f.numerator}/{f.denominator}"
-    finally:
-        sys.set_int_max_str_digits(cap)
+    except ValueError:  # only the cap can refuse the text of a Fraction
+        return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
 
 
 def format_float(value: float) -> str:

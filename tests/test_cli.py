@@ -133,6 +133,32 @@ class TestEvalAndAtOne:
         res = invoke(runner, "at-one", "--lambda", "1" * (cap + 1), "--degree", "2")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("cap", ["640", "0"])
+    def test_exact_output_is_the_same_under_any_cap(self, cap):
+        # the interpreter's cap, lowered or lifted, never changes what is printed
+        cmd = ["-m", "gegenkit.cli", "at-one", "--lambda", "108/29", "--degree", "3000"]
+        default = subprocess.run([sys.executable, *cmd], capture_output=True, timeout=60)
+        capped = subprocess.run([sys.executable, "-X", f"int_max_str_digits={cap}", *cmd],
+                                capture_output=True, timeout=60)
+        assert (default.returncode, capped.returncode) == (0, 0)
+        assert len(default.stdout) > 4300
+        assert capped.stdout == default.stdout
+
+    @pytest.mark.parametrize("where", ["numerator", "denominator"])
+    def test_over_long_literal_is_named_without_python_advice(self, runner, where):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        lam = digits if where == "numerator" else f"1/{digits}"
+        res = invoke(runner, "at-one", "--lambda", lam, "--degree", "2")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines()[-1] == f"Error: exact literal too long: {len(lam)} characters"
+        assert "sys." not in res.stderr
+
+    def test_zero_denominator_keeps_its_message(self, runner):
+        res = invoke(runner, "at-one", "--lambda", "1/0", "--degree", "2")
+        assert res.exit_code == 2
+        assert res.stderr.splitlines()[-1] == "Error: zero denominator in rational literal: '1/0'"
+
     @pytest.mark.parametrize("lam", ["1_5", "١", "٣/٤"], ids=["underscore", "arabic-indic", "fraction"])
     @pytest.mark.parametrize("command", [("eval", "--t", "0.5"), ("at-one",)], ids=["eval", "at-one"])
     def test_python_only_literal_is_usage_error(self, runner, command, lam):

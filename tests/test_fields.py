@@ -1,6 +1,9 @@
 """Coefficient field realizations and scalar literals."""
 
+import decimal
 import json
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -59,6 +62,15 @@ class TestLiterals:
         with pytest.raises(ValueError, match="not an exact rational literal"):
             parse_exact(bad)
 
+    @pytest.mark.parametrize("where", ["numerator", "negative-numerator", "denominator"])
+    def test_over_long_literal_is_named_without_python_advice(self, where):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        text = {"numerator": digits, "negative-numerator": f"-{digits}/3",
+                "denominator": f"1/{digits}"}[where]
+        for parse in (parse_exact, parse_scalar):
+            with pytest.raises(ValueError, match=f"^exact literal too long: {len(text)} characters$"):
+                parse(text)
+
     def test_format_exact_always_p_over_q(self):
         assert format_exact(Fraction(3)) == "3/1"
         assert format_exact(Fraction(-1, 2)) == "-1/2"
@@ -100,3 +112,71 @@ class TestCoercion:
         # a bool is an int to isinstance, but True must not be taken as 1, nor False as 0
         with pytest.raises(TypeError, match="cannot .* bool"):
             convert(value)
+
+
+def _lifted(value: Fraction) -> str:
+    """'p/q' by plain int-to-str, with the cap lifted for this reference only."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+_PAST_THE_CAP = {
+    "10^5000": Fraction(10**5000),
+    "-10^9000": Fraction(-10**9000),
+    "10^5000-1": Fraction(10**5000 - 1),
+    "negative-numerator": Fraction(-7**20000, 3),
+    "huge-denominator": Fraction(-2, 7**20000),
+    "both-huge": Fraction(10**6000 - 1, 7**9000),
+}
+
+
+class TestFormatPastTheCap:
+    @pytest.mark.parametrize("value", _PAST_THE_CAP.values(), ids=_PAST_THE_CAP.keys())
+    def test_text_equals_the_cap_lifted_reference(self, value):
+        want = _lifted(value)
+        assert format_exact(value) == want
+        with decimal.localcontext() as context:
+            context.prec = 5  # Decimal(int) is exact at any context precision
+            assert format_exact(value) == want
+
+    def test_the_cap_is_never_set(self, monkeypatch):
+        value = Fraction(7**30000, 3)
+        want = _lifted(value)
+
+        def refuse(_):
+            raise AssertionError("format_exact set the interpreter's digit cap")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+        assert format_exact(value) == want
+
+    def test_another_threads_parsing_keeps_the_cap(self):
+        # the setting is global to the interpreter: lifting it to format would let
+        # every other thread parse digit strings of any length meanwhile
+        cap = sys.get_int_max_str_digits()
+        started, stop = threading.Event(), threading.Event()
+
+        def write():
+            while not stop.is_set():
+                format_exact(Fraction(7**30000, 3))
+                started.set()
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        accepted = 0
+        try:
+            assert started.wait(timeout=30)
+            for _ in range(2000):
+                try:
+                    int("9" * (cap + 1))
+                    accepted += 1
+                except ValueError:
+                    pass
+        finally:
+            stop.set()
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert accepted == 0
