@@ -11,9 +11,12 @@ arrays, exact scalars as `fields.format_exact` strings).  Results go to stdout.
 Exit 0 -- every check passes; exit 1 -- a mathematical check failed; exit 2 --
 a usage, domain or arithmetic error, or a non-finite float (reason on stderr).
 
-Scalar literals: "p/q" or an integer is exact, a decimal/scientific literal
-is float; integers fit either mode, and mixing "p/q" with decimal literals
-in one invocation is a usage error.
+Scalar literals: `fields.parse_scalar` reads each one, and the type it returns
+is the literal's kind.  An integer (int) fits either mode, "p/q" (Fraction) is
+exact and a decimal/scientific literal (float) is float; mixing "p/q" with
+decimal literals in one invocation is a usage error.  The literals are read in
+order and the first that does not parse is named, before any mixing or --mode
+conflict.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ import csv
 import json
 import math
 import sys
+from fractions import Fraction
 
 import click
 
-from .fields import format_exact, format_scalar, literal_kind, parse_scalar
+from .fields import EXACT, format_exact, format_scalar, parse_scalar
 from .gegenbauer import (
     GegenbauerParams,
     GegenbauerTable,
@@ -64,15 +68,15 @@ def _check_bounds(flag: str, value: int, limit: int, tolerance: float | None = N
 
 def _parse_literals(literals: list[str], mode_flag: str | None) -> list:
     """Infer the mode from the literals (or check it against --mode) and parse them in it."""
-    kinds = {literal_kind(text) for text in literals}
-    if "fraction" in kinds and "float" in kinds:
-        raise ValueError("cannot mix exact 'p/q' literals and float literals in one invocation")
-    if mode_flag == "exact" and "float" in kinds:
-        raise ValueError("float literal given together with --mode exact")
-    mode = mode_flag or ("float" if "float" in kinds else "exact")
     values = [parse_scalar(text) for text in literals]
+    kinds = {type(v) for v in values}
+    if Fraction in kinds and float in kinds:
+        raise ValueError("cannot mix exact 'p/q' literals and float literals in one invocation")
+    if mode_flag == "exact" and float in kinds:
+        raise ValueError("float literal given together with --mode exact")
+    mode = mode_flag or ("float" if float in kinds else "exact")
     try:
-        return [float(v) for v in values] if mode == "float" else values
+        return [float(v) for v in values] if mode == "float" else [EXACT.coerce(v) for v in values]
     except OverflowError:
         raise ValueError("an exact literal does not fit a float (magnitude above 1.8e308)") from None
 

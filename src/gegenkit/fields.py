@@ -7,7 +7,9 @@ operation) or `FLOAT64` (IEEE-754 doubles).  Neither coercion takes a `bool`.
 
 It also owns the scalar literal format used by the CLI and by JSON payloads:
 ``"p/q"`` (q > 0) or a plain integer for exact values, standard
-decimal/scientific notation for floats.
+decimal/scientific notation for floats.  `parse_scalar` is its one parser, and
+the type it returns (int, Fraction or float) is the literal's kind; on output an
+exact value is written as "p/q" and a float by its repr.
 """
 
 from __future__ import annotations
@@ -23,21 +25,13 @@ __all__ = [
     "CoefficientField",
     "EXACT",
     "FLOAT64",
-    "parse_exact",
     "parse_scalar",
-    "literal_kind",
     "format_exact",
-    "format_float",
     "format_scalar",
 ]
 
 
 _EXACT_LITERAL = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
-
-
-def _normalize_literal(text: str) -> str:
-    # U+2212 (minus sign) shows up in copy-pasted input; treat it as '-'.
-    return text.strip().replace("−", "-")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,45 +68,29 @@ EXACT = CoefficientField(Fraction(0), _to_fraction)
 FLOAT64 = CoefficientField(0.0, _to_float)
 
 
-def literal_kind(text: str) -> str:
-    """Classify a scalar literal: 'fraction', 'integer' or 'float'.
+def parse_scalar(text: str):
+    """Read a scalar literal in one pass; its type is its kind.
 
-    Integer literals are mode-neutral (they denote the same value in both
-    fields); 'p/q' demands exact mode and anything with a decimal point or an
-    exponent demands float mode.  Raises ValueError for malformed input, and for
-    what float() takes beyond that grammar: '_' separators and non-ASCII digits.
+    A plain integer gives an int, which fits either field; 'p/q' (q > 0) gives a
+    Fraction, which demands exact mode; a decimal or scientific literal gives a
+    float, which demands float mode.  U+2212 reads as '-'.  Raises ValueError for
+    malformed input, including what float() takes beyond that grammar: '_'
+    separators and non-ASCII digits.
     """
-    s = _normalize_literal(text)
+    s = text.strip().replace("−", "-")  # U+2212 shows up in copy-pasted input
     if not s.isascii() or "_" in s:
         raise ValueError(f"not a scalar literal: {text!r}")
     if _EXACT_LITERAL.match(s):
-        return "fraction" if "/" in s else "integer"
+        try:
+            return Fraction(s) if "/" in s else int(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in rational literal: {text!r}") from None
+        except ValueError:  # the grammar admitted s, so only the int-from-str cap refuses it
+            raise ValueError(f"exact literal too long: {len(s)} characters") from None
     try:
-        float(s)
+        return float(s)
     except ValueError:
         raise ValueError(f"not a scalar literal: {text!r}") from None
-    return "float"
-
-
-def parse_exact(text: str) -> Fraction:
-    """Parse 'p/q' (q > 0) or a plain integer into a canonical Fraction."""
-    s = _normalize_literal(text)
-    if not _EXACT_LITERAL.match(s):
-        raise ValueError(f"not an exact rational literal: {text!r}")
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational literal: {text!r}") from None
-    except ValueError:  # the grammar admitted s, so only the int-from-str cap refuses it
-        raise ValueError(f"exact literal too long: {len(s)} characters") from None
-
-
-def parse_scalar(text: str):
-    """Parse a literal into a Fraction (exact forms) or a float (decimal forms)."""
-    kind = literal_kind(text)
-    if kind == "float":
-        return float(_normalize_literal(text))
-    return parse_exact(text)
 
 
 def format_exact(value) -> str:
@@ -131,14 +109,9 @@ def format_exact(value) -> str:
         return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
 
 
-def format_float(value: float) -> str:
-    """Shortest decimal that round-trips bit-exactly (Python's repr)."""
-    return repr(float(value))
-
-
 def format_scalar(value) -> str:
     if isinstance(value, (int, Fraction)):
         return format_exact(value)
     if isinstance(value, float):
-        return format_float(value)
+        return repr(float(value))  # shortest round-trip text; float() unwraps np.float64
     raise TypeError(f"cannot serialize {type(value).__name__} as a scalar")

@@ -159,6 +159,14 @@ class TestEvalAndAtOne:
         assert res.exit_code == 2
         assert res.stderr.splitlines()[-1] == "Error: zero denominator in rational literal: '1/0'"
 
+    def test_first_unparsable_literal_is_named_before_the_mix_of_kinds(self, runner):
+        # '1/0' with a float t is two faults: the literals are read in order, so the
+        # zero denominator is named, not the mix of 'p/q' and float literals
+        res = invoke(runner, "eval", "--lambda", "1/0", "--degree", "3", "--t", "0.5")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines()[-1] == "Error: zero denominator in rational literal: '1/0'"
+
     @pytest.mark.parametrize("lam", ["1_5", "١", "٣/٤"], ids=["underscore", "arabic-indic", "fraction"])
     @pytest.mark.parametrize("command", [("eval", "--t", "0.5"), ("at-one",)], ids=["eval", "at-one"])
     def test_python_only_literal_is_usage_error(self, runner, command, lam):

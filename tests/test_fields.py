@@ -14,62 +14,62 @@ from gegenkit.fields import (
     EXACT,
     FLOAT64,
     format_exact,
-    format_float,
     format_scalar,
-    literal_kind,
-    parse_exact,
     parse_scalar,
 )
 
+_LITERALS = {
+    "3/4": Fraction(3, 4),
+    "-3/4": Fraction(-3, 4),
+    "6/4": Fraction(3, 2),
+    "−3/4": Fraction(-3, 4),  # U+2212 minus normalizes to ASCII
+    " 1/2 ": Fraction(1, 2),
+    "7": 7,
+    "-7": -7,
+    "+5": 5,
+    "007": 7,
+    "0.5": 0.5,
+    "1e-3": 1e-3,
+    "2e6": 2e6,
+}
+_LITERAL_IDS = [{"−3/4": "U+2212-minus", " 1/2 ": "padded"}.get(text, text) for text in _LITERALS]
+
+
 class TestLiterals:
-    def test_parse_exact_forms(self):
-        assert parse_exact("3/4") == Fraction(3, 4)
-        assert parse_exact("-3/4") == Fraction(-3, 4)
-        assert parse_exact("7") == Fraction(7)
-        assert parse_exact("007") == Fraction(7)
-        # U+2212 minus normalizes to ASCII
-        assert parse_exact("−3/4") == Fraction(-3, 4)
+    @pytest.mark.parametrize("text, want", _LITERALS.items(), ids=_LITERAL_IDS)
+    def test_the_type_of_the_value_is_the_kind(self, text, want):
+        # int fits either mode, Fraction demands exact mode, float demands float mode
+        got = parse_scalar(text)
+        assert type(got) is type(want)
+        assert got == want
 
-    @pytest.mark.parametrize("bad", ["3/0", "3/-4", "1.5", "1e3", "a/b", "", "1/2/3"])
-    def test_parse_exact_rejects(self, bad):
-        with pytest.raises(ValueError):
-            parse_exact(bad)
-
-    def test_parse_scalar_dispatch(self):
-        assert parse_scalar("1/2") == Fraction(1, 2)
-        assert isinstance(parse_scalar("1/2"), Fraction)
-        assert parse_scalar("0.5") == 0.5
-        assert isinstance(parse_scalar("0.5"), float)
-        assert parse_scalar("1e-3") == 1e-3
-        assert parse_scalar("12") == Fraction(12)
-
-    def test_literal_kind(self):
-        assert literal_kind("1/2") == "fraction"
-        assert literal_kind("-7") == "integer"
-        assert literal_kind("0.5") == "float"
-        assert literal_kind("2e6") == "float"
-        with pytest.raises(ValueError):
-            literal_kind("wat")
+    @pytest.mark.parametrize("bad, message", [
+        ("3/0", "zero denominator in rational literal: '3/0'"),
+        ("3/-4", "not a scalar literal: '3/-4'"),
+        ("a/b", "not a scalar literal: 'a/b'"),
+        ("", "not a scalar literal: ''"),
+        ("1/2/3", "not a scalar literal: '1/2/3'"),
+        ("wat", "not a scalar literal: 'wat'"),
+    ], ids=["zero-denominator", "negative-denominator", "letters", "empty", "two-slashes", "word"])
+    def test_malformed_literal_is_refused_with_its_message(self, bad, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_scalar(bad)
 
     @pytest.mark.parametrize("bad", ["1_5", "1_000.5", "1e1_0", "١", "٣/٤", "１.５"],
                              ids=["underscore", "underscore-float", "underscore-exponent",
                                   "arabic-indic", "arabic-indic-fraction", "fullwidth-float"])
     def test_python_only_number_forms_are_refused(self, bad):
         # float() and Fraction() take '_' separators and non-ASCII digits; the grammar does not
-        for parse in (literal_kind, parse_scalar):
-            with pytest.raises(ValueError, match="not a scalar literal"):
-                parse(bad)
-        with pytest.raises(ValueError, match="not an exact rational literal"):
-            parse_exact(bad)
+        with pytest.raises(ValueError, match="not a scalar literal"):
+            parse_scalar(bad)
 
     @pytest.mark.parametrize("where", ["numerator", "negative-numerator", "denominator"])
     def test_over_long_literal_is_named_without_python_advice(self, where):
         digits = "1" * (sys.get_int_max_str_digits() + 1)
         text = {"numerator": digits, "negative-numerator": f"-{digits}/3",
                 "denominator": f"1/{digits}"}[where]
-        for parse in (parse_exact, parse_scalar):
-            with pytest.raises(ValueError, match=f"^exact literal too long: {len(text)} characters$"):
-                parse(text)
+        with pytest.raises(ValueError, match=f"^exact literal too long: {len(text)} characters$"):
+            parse_scalar(text)
 
     def test_format_exact_always_p_over_q(self):
         assert format_exact(Fraction(3)) == "3/1"
@@ -81,13 +81,25 @@ class TestLiterals:
             format_scalar("1/2")
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
-    def test_format_float_round_trips(self, x):
-        assert float(format_float(x)) == x
+    def test_format_scalar_round_trips_a_float(self, x):
+        assert float(format_scalar(x)) == x
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
-    def test_json_writes_a_float_as_format_float(self, x):
+    def test_json_writes_a_float_as_format_scalar(self, x):
         # the CLI's json lines leave float text to `json`
-        assert json.dumps(x) == format_float(x)
+        assert json.dumps(x) == format_scalar(x)
+
+    def test_a_float_subclass_is_written_as_its_float(self):
+        class Tagged(float):
+            def __repr__(self):
+                return f"Tagged({float(self)!r})"
+
+        assert format_scalar(Tagged(0.5)) == "0.5"
+
+    def test_numpy_float64_is_written_as_its_float(self):
+        # numpy 2 writes a float64's repr as 'np.float64(0.5)'
+        np = pytest.importorskip("numpy")
+        assert format_scalar(np.float64(0.5)) == "0.5"
 
 
 class TestCoercion:
