@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -51,7 +52,11 @@ EXACT_M_MAX_LIMIT = 1_500
 ORDER_LIMIT = 1_000
 """Largest `table --order` on the recurrence route: a table of O(N^2) entries."""
 COMPOSITION_LIMIT = 400
-"""Largest `table --order` on the composition route, whose exact cost grows faster than N^3."""
+"""Largest `table --order` on the composition route, whose exact cost grows faster than N^3.
+
+Reducing each coefficient over q^N N! is most of it: in process at lam = 17/7 the table takes
+0.16 s at N = 200 and 1.7 s at N = 400, of which the integer expansion is about 0.13 s.
+"""
 
 FIELDS = ("lambda", "m", "check", "value_or_lhs", "rhs", "residual", "status")
 
@@ -67,7 +72,11 @@ def _check_bounds(flag: str, value: int, limit: int, tolerance: float | None = N
 
 
 def _parse_literals(literals: list[str], mode_flag: str | None) -> list:
-    """Infer the mode from the literals (or check it against --mode) and parse them in it."""
+    """Infer the mode from the literals (or check it against --mode) and parse them in it.
+
+    In float mode an exact literal past 1.8e308, and any nonzero literal that rounds to
+    0.0, is refused by name.
+    """
     values = [parse_scalar(text) for text in literals]
     kinds = {type(v) for v in values}
     if Fraction in kinds and float in kinds:
@@ -76,9 +85,13 @@ def _parse_literals(literals: list[str], mode_flag: str | None) -> list:
         raise ValueError("float literal given together with --mode exact")
     mode = mode_flag or ("float" if float in kinds else "exact")
     try:
-        return [float(v) for v in values] if mode == "float" else [EXACT.coerce(v) for v in values]
+        values = [float(v) for v in values] if mode == "float" else [EXACT.coerce(v) for v in values]
     except OverflowError:
         raise ValueError("an exact literal does not fit a float (magnitude above 1.8e308)") from None
+    # a literal is nonzero when a digit 1-9 comes before any '/', 'e' or 'E'
+    if any(not v and re.match(r"[^eE/]*[1-9]", text) for v, text in zip(values, literals)):
+        raise ValueError("a nonzero literal underflows to 0.0 as a float (magnitude below 2.5e-324)")
+    return values
 
 
 def _cell(value) -> str:

@@ -5,8 +5,9 @@ routes:
 
 * composition  -- expand sum_j C(-lam, j) (r^2 - 2 t r)^j over polynomial
   coefficients and collect powers of r; exact, yields whole polynomials.
-  It runs on the integer rows of `series` (row m: the coefficients in t of
-  r^m), on q^N N! C_m (lam = p/q), and reduces each coefficient once.
+  `series` multiplies by u = r^2 - 2 t r on integer rows (row m: the
+  coefficients in t of r^m), on q^N N! C_m (lam = p/q), and each coefficient
+  is reduced once.
 * recurrence   -- C_0 = 1, C_1 = 2 lam t,
   m C_m = 2 t (m + lam - 1) C_{m-1} - (m + 2 lam - 2) C_{m-2};
   works over exact rationals or floats.  Exact mode (lam = p/q) carries
@@ -141,13 +142,13 @@ def _composition_rows(p: int, q: int, n: int):
 
     The outer coefficients c_j = q^n n! C(-lam, j) = (-1)^j q^(n-j) (n!/j!) prod_{i<j} (p + i q)
     are integers, stepped as c_{j+1} = -c_j (p + j q) / (q (j+1)) by exact division, and
-    the inner series r^2 - 2 t r is integral: as `series` rows in r, [[0], [0, -2], [1]].
-    So the whole expansion runs on integer rows, and row m comes back as row_m.
+    u = r^2 - 2 t r has integer coefficients.  So `compose_inner_polynomial` runs the whole
+    expansion on integer rows, and row m comes back as row_m.
     """
     scale = q**n * factorial(n)
     outer = list(accumulate(range(n), lambda c, j: -c * (p + j * q) // (q * (j + 1)),
                             initial=scale))
-    rows = compose_inner_polynomial(outer.__getitem__, [[0], [0, -2], [1]], n)
+    rows = compose_inner_polynomial(outer)
     return ((row, scale) for row in rows)
 
 

@@ -1,75 +1,37 @@
-"""Truncated formal power series in r whose coefficients are integer polynomials in t.
+"""The composition sum of the generating function, on integer rows in r and t.
 
-A series of order N is a list of N + 1 rows, and row m is a list of `int`: the
-coefficients, in increasing powers of t, of the r^m term.  All arithmetic
-happens modulo r^(N+1).  The order is the truncation order, not the degree:
-zero rows are data and are never dropped.  The one binary operation,
-`series_mul`, truncates to the smaller operand's order, so every retained row
-is fully determined -- nothing is padded with invented zeros.  The
-composition route runs `compose_inner_polynomial` on these rows.
+The composition route expands (1 - 2rt + r^2)^(-lam) = sum_j C(-lam, j) u^j with
+u = r^2 - 2tr (DLMF 18.12.4).  `compose_inner_polynomial` sums outer[j] u^j
+modulo r^(N+1) for that one u.  Each power u^j comes from u^(j-1) by one
+multiplication by u, and a power's row in r holds only its nonzero terms,
+as {power of t: coefficient}.  No row comes from a binomial formula, so this
+route stays apart from the explicit sum (DLMF 18.5.10).
 """
 
 from __future__ import annotations
 
-from .coefficients import _check_index
-
-__all__ = ["series_mul", "compose_inner_polynomial"]
+__all__ = ["compose_inner_polynomial"]
 
 
-def _settled(row: list) -> list:
-    """`row` without trailing zeros; the zero row is [0]."""
-    while row and not row[-1]:
-        row.pop()
-    return row or [0]
+def compose_inner_polynomial(outer: list) -> list:
+    """sum_j outer[j] u^j mod r^(N+1), u = r^2 - 2tr and N = len(outer) - 1, as rows.
 
-
-def series_mul(a: list, b: list) -> list:
-    """Bivariate Cauchy product: row m is sum_{k=0}^m a_k b_(m-k), for m up to min(order).
-
-    Each a_k b_(m-k) is the Cauchy product in t of two rows.  Zero entries of
-    either operand are skipped, so a zero row costs nothing.  Every row of the
-    result is settled: no trailing zeros, and [0] for zero.
+    Row m is the list of the m + 1 coefficients, in increasing powers of t, of the
+    r^m term; integer `outer` gives integer rows.  Row m of u P is row m-2 of P less
+    2t times row m-1 of P, so u^j reaches r^m only for j <= m <= 2j, and only in t^(2j-m).
+    Refuses an empty `outer` with ValueError.
     """
-    n = min(len(a), len(b)) - 1
-    out = [[] for _ in range(n + 1)]
-    terms = [[(l, y) for l, y in enumerate(row) if y] for row in b[: n + 1]]
-    nonzero = [(j, ys) for j, ys in enumerate(terms) if ys]
-    for i, row in enumerate(a[: n + 1]):
-        xs = [(k, x) for k, x in enumerate(row) if x]
-        if not xs:
-            continue
-        for j, ys in nonzero:
-            if i + j > n:
-                break
-            acc = out[i + j]
-            acc.extend([0] * (xs[-1][0] + ys[-1][0] + 1 - len(acc)))
-            for k, x in xs:
-                for l, y in ys:
-                    acc[k + l] += x * y
-    return [_settled(row) for row in out]
-
-
-def compose_inner_polynomial(outer_coeffs, inner: list, order: int) -> list:
-    """Truncated composition sum_{j=0}^order outer_coeffs(j) * inner^j, as rows.
-
-    The inner series must have zero constant term (valuation >= 1), so powers
-    beyond inner^order cannot touch coefficients of r^order and the sum is
-    finite and exact.  The inner operand denotes a polynomial in r: if it was
-    built at a lower order its missing rows are genuinely zero and it is
-    widened accordingly.  Only the nonzero coefficients of inner^j are added.
-    """
-    _check_index(order, "order")
-    if not inner or any(inner[0]):
-        raise ValueError("inner polynomial must have a zero constant-term row")
-    widened = (list(inner) + [[0]] * order)[: order + 1]
-    acc = [[outer_coeffs(0)]] + [[0] for _ in range(order)]
-    power = [[1]] + [[0]] * order
-    for j in range(1, order + 1):
-        power = series_mul(power, widened)
-        b = outer_coeffs(j)
-        for row, total in zip(power, acc):
-            total.extend([0] * (len(row) - len(total)))
-            for k, c in enumerate(row):
-                if c:
-                    total[k] += b * c
-    return [_settled(row) for row in acc]
+    if not outer:
+        raise ValueError("outer must hold at least one coefficient")
+    rows = [[0] * (m + 1) for m in range(len(outer))]
+    power = [{}, {}, {0: 1}] + [{} for _ in outer[1:]]  # row m at m + 2, after two zero rows
+    for b in outer:
+        for row, total in zip(power[2:], rows):
+            for k, c in row.items():
+                total[k] += b * c
+        for m in range(len(power) - 1, 1, -1):  # top down: m - 1 and m - 2 still hold P's rows
+            row = dict(power[m - 2])
+            for k, c in power[m - 1].items():
+                row[k + 1] = row.get(k + 1, 0) - 2 * c
+            power[m] = row
+    return rows

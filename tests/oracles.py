@@ -6,7 +6,6 @@ plain nested loops, and closed forms come from trigonometry.
 """
 
 from fractions import Fraction
-from itertools import zip_longest
 import math
 
 
@@ -28,28 +27,6 @@ def falling_binomial(exponent: Fraction, m: int) -> Fraction:
     return out
 
 
-def full_convolution(a, b):
-    """Complete polynomial product of two coefficient lists (no truncation)."""
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def settled(row):
-    """`row` as a list without trailing zeros; the zero row is [0]."""
-    row = list(row)
-    while row and not row[-1]:
-        row.pop()
-    return row or [0]
-
-
-def series_add(a, b):
-    """Row-wise sum of two series of the same order, each row settled."""
-    return [settled(x + y for x, y in zip_longest(p, q, fillvalue=0)) for p, q in zip(a, b)]
-
-
 def bivariate_product(a, b, n: int):
     """Coefficient lists in t of r^0..r^n in the product of two series in r.
 
@@ -65,6 +42,21 @@ def bivariate_product(a, b, n: int):
                     acc[key] = acc.get(key, Fraction(0)) + x * y
     return [[acc.get((m, k), Fraction(0)) for k in range(1 + max(k for (_, k) in acc))]
             for m in range(n + 1)]
+
+
+def powers_of_u(n: int):
+    """u^0..u^n mod r^(n+1) for u = r^2 - 2tr, each the `bivariate_product` of the last and u."""
+    powers = [[[Fraction(1)]] + [[Fraction(0)]] * n]
+    for _ in range(n):
+        powers.append(bivariate_product(powers[-1], [[0], [0, -2], [1]], n))
+    return powers
+
+
+def compose_by_powers(outer, powers):
+    """Rows m < len(outer) of sum_j outer[j] powers[j], row m the m + 1 coefficients in t."""
+    return [[sum(b * p[m][k] for b, p in zip(outer, powers) if k < len(p[m]))
+             for k in range(m + 1)]
+            for m in range(len(outer))]
 
 
 def gegenbauer_coeff_lists(lam: Fraction, n: int):

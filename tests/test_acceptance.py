@@ -22,9 +22,9 @@ from gegenkit.gegenbauer import (
     value_via_conjugate_product,
 )
 from gegenkit.identity import identity_lhs, sweep
-from gegenkit.series import series_mul
+from gegenkit.series import compose_inner_polynomial
 
-from oracles import series_add, settled
+from oracles import compose_by_powers, powers_of_u
 
 LAMBDA_FULL = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(10)]
 # Float conjugate-product agreement uses the invariant grid (lam <= 7/3):
@@ -153,18 +153,17 @@ def test_property_suites():
     rng = random.Random(SEED)
     cases = 1000
 
-    # Cauchy-product ring axioms at fixed truncation order 8, on integer-polynomial rows.
-    order = 8
-
+    # Composition over u = r^2 - 2tr at order <= 8, on small-integer outer lists: linear in
+    # outer, row by row, and equal to the sum of the u^j taken by repeated bivariate products.
+    powers = powers_of_u(8)
     for _ in range(cases):
-        a, b, c = (
-            [settled([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))])
-             for _ in range(order + 1)]
-            for _ in range(3)
-        )
-        assert series_mul(a, b) == series_mul(b, a)
-        assert series_mul(series_mul(a, b), c) == series_mul(a, series_mul(b, c))
-        assert series_mul(a, series_add(b, c)) == series_add(series_mul(a, b), series_mul(a, c))
+        n = rng.randint(0, 8)
+        a, b = ([rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(2))
+        x, y = rng.randint(-9, 9), rng.randint(-9, 9)
+        rows_a, rows_b = compose_inner_polynomial(a), compose_inner_polynomial(b)
+        mixed = compose_inner_polynomial([x * i + y * j for i, j in zip(a, b)])
+        assert mixed == [[x * i + y * j for i, j in zip(ra, rb)] for ra, rb in zip(rows_a, rows_b)]
+        assert rows_a == compose_by_powers(a, powers)
 
     # Pochhammer one-step recurrence, on g(x, m) = (x)_m / m!.
     g = gamma_ratio_coefficient

@@ -454,6 +454,34 @@ class TestNonFiniteFloat:
         assert res.stderr.splitlines()[-1] == (
             "Error: an exact literal does not fit a float (magnitude above 1.8e308)")
 
+    @pytest.mark.parametrize("args", [
+        ["at-one", "--lambda", "1e-400", "--degree", "3"],
+        ["at-one", "--lambda", f"1/{10 ** 400}", "--degree", "3", "--mode", "float"],
+        ["eval", "--lambda", "1.0", "--degree", "3", "--t", "1e-400"],
+        ["deriv-check", "--lambda", "1", "--t", "0.5", "--r", "1e-400", "--order", "5"],
+    ], ids=["decimal-lambda", "exact-lambda", "decimal-t", "decimal-r"])
+    def test_nonzero_literal_that_rounds_to_zero_is_named(self, runner, args):
+        # not read as the 0.0 it rounds to: no 'lambda must be positive', no value at t = 0,
+        # no deriv-check passed as the trivial r = 0 case
+        res = invoke(runner, *args)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines()[-1] == (
+            "Error: a nonzero literal underflows to 0.0 as a float (magnitude below 2.5e-324)")
+
+    @pytest.mark.parametrize("args, want", [
+        (["eval", "--lambda", "1.0", "--degree", "3", "--t", "1e-320"], "-4e-320"),
+        (["at-one", "--lambda", "1e-320", "--degree", "3"], "6.665e-321"),
+        (["eval", "--lambda", "1.0", "--degree", "3", "--t", "0"], "-0.0"),
+        (["eval", "--lambda", "1.0", "--degree", "3", "--t", "0.0e-400"], "-0.0"),
+        (["eval", "--lambda", "1.0", "--degree", "3", "--t", "-0.0"], "0.0"),
+        (["eval", "--lambda", "1", "--degree", "3", "--t", "0/5", "--mode", "float"], "-0.0"),
+    ], ids=["subnormal-t", "subnormal-lambda", "zero", "zero-exponent", "minus-zero", "zero-ratio"])
+    def test_subnormal_and_zero_literals_are_read(self, runner, args, want):
+        res = invoke(runner, *args)
+        assert res.exit_code == 0
+        assert res.stdout == want + "\n"
+
     @pytest.mark.parametrize("degree", ["0", "3"])
     @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
     def test_non_finite_point_is_named(self, runner, t, degree):

@@ -235,8 +235,10 @@ class TestRecurrenceKernels:
             assert math.lcm(*(Fraction(c, d).denominator for c in row)) == d
 
     def test_exact_equals_composition_at_high_degree(self):
-        params = GegenbauerParams(Fraction(17, 7), 120)
-        assert table_via_recurrence(params).polys == table_via_composition(params).polys
+        # 251/185: a three-digit denominator, so the composition's integers are wide
+        for lam, n in ((Fraction(17, 7), 120), (Fraction(251, 185), 200)):
+            params = GegenbauerParams(lam, n)
+            assert table_via_recurrence(params).polys == table_via_composition(params).polys
 
     @pytest.mark.parametrize("lam", [0.75, 2.5, 7.0, 1e-3, 1e300])
     def test_float_is_bit_identical_to_generic_loop(self, lam):

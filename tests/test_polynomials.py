@@ -50,7 +50,7 @@ class TestConstruction:
 
 class TestArithmetic:
     def test_no_ring_operators(self):
-        # a product is taken on integer rows (`series_mul`); a table row has no arithmetic
+        # the composition route multiplies integer rows (`series`); a table row has no arithmetic
         p = Polynomial([Fraction(1), Fraction(1)])
         with pytest.raises(TypeError):
             p * p
