@@ -4,9 +4,11 @@ Each command hands `_emit` its records, in the seven fields
 lambda,m,check,value_or_lhs,rhs,residual,status, and the layout of its text
 lines.  `_emit` exits 2 on an inf or nan float before writing a byte, then writes
 text, csv (the seven columns under a header) or json lines (the same keys and
-values, lists as arrays).  `fields.format_scalar`, the one writer of scalar text
-("p/q", q may be 1, or the shortest round-tripping decimal), is also the json
-default, so an exact scalar is a quoted "p/q" string.  Results go to stdout.
+values, lists as arrays).  `csv` and `json` are imported only to write their own
+format, since every call is a fresh process that pays for each import.
+`fields.format_scalar`, the one writer of scalar text ("p/q", q may be 1, or the
+shortest round-tripping decimal), is also the json default, so an exact scalar
+is a quoted "p/q" string.  Results go to stdout.
 
 Exit 0 -- every check passes; exit 1 -- a mathematical check failed; exit 2 --
 a usage, domain or arithmetic error, or a non-finite float (reason on stderr).
@@ -21,8 +23,6 @@ conflict.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import re
 import sys
@@ -114,12 +114,16 @@ def _emit(fmt: str, records: list[tuple], text=lambda rows: (row[3] for row in r
     if any(isinstance(v, float) and not math.isfinite(v) for v in scalars):
         raise OverflowError("result is not finite")
     if fmt == "json":
+        import json
+
         for record in records:
             sys.stdout.write(json.dumps(dict(zip(FIELDS, record)), default=format_scalar) + "\n")
         return
     rows = ((_cell(lam), str(m), check, _cell(value), _cell(rhs), _cell(residual), status)
             for lam, m, check, value, rhs, residual, status in records)
     if fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(FIELDS)
         writer.writerows(rows)

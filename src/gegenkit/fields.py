@@ -4,6 +4,7 @@ Scalars are plain Python values and combine through their own operators; a
 `CoefficientField` supplies the zero and the coercion rule of one
 realization: `EXACT` (``fractions.Fraction``, canonical after every
 operation) or `FLOAT64` (IEEE-754 doubles).  Neither coercion takes a `bool`.
+Fields are named tuples and compare by value: `EXACT != FLOAT64`.
 
 It also owns the scalar literal format used by the CLI and by JSON payloads:
 ``"p/q"`` (q > 0) or a plain integer for exact values, standard
@@ -18,9 +19,9 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "CoefficientField",
@@ -34,9 +35,8 @@ __all__ = [
 _EXACT_LITERAL = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
 
 
-@dataclass(frozen=True, eq=False)
-class CoefficientField:
-    """Constants and coercion for one scalar realization; fields compare by identity.
+class CoefficientField(NamedTuple):
+    """Constants and coercion for one scalar realization; an immutable named tuple.
 
     Arithmetic uses the scalars' own operators, so division by zero always
     raises ``ZeroDivisionError`` instead of producing a silent inf/nan.

@@ -29,16 +29,16 @@ route by the test suite, never trusted on its own.
 
 from __future__ import annotations
 
-import cmath
 import enum
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, count, islice
-from math import factorial, gcd, inf, isfinite, lcm
+from math import cos, factorial, gcd, inf, isfinite, lcm, sin
+from typing import NamedTuple
 
 from .coefficients import _check_index, check_lambda, gamma_ratio_coefficient, gamma_ratios
-from .fields import EXACT, FLOAT64, CoefficientField
+from .fields import EXACT, FLOAT64
 from .polynomials import Polynomial
 from .series import compose_inner_polynomial
 
@@ -65,41 +65,47 @@ class Route(enum.Enum):
     RECURRENCE = "recurrence"
 
 
-@dataclass(frozen=True)
-class GegenbauerParams:
+class GegenbauerParams(namedtuple("GegenbauerParams", "lam order field")):
     """Order parameter lam > 0 plus the truncation order / maximal degree N.
 
     A Fraction (or int) lam selects exact mode, a float lam selects float
     mode; the choice, `field`, flows through to the polynomial coefficients.  It is
-    compared, so params of equal lam in the two modes are unequal.
+    compared, so params of equal lam in the two modes are unequal.  Pickle and copy
+    rebuild a params from lam and order, and its repr shows only those two, since a
+    field's repr holds the address of its coercion.
     """
 
-    lam: object
-    order: int
-    field: CoefficientField = field(init=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", check_lambda(self.lam))
-        _check_index(self.order, "order")
-        object.__setattr__(self, "field", EXACT if isinstance(self.lam, Fraction) else FLOAT64)
+    def __new__(cls, lam, order: int):
+        lam = check_lambda(lam)
+        _check_index(order, "order")
+        return super().__new__(cls, lam, order, EXACT if isinstance(lam, Fraction) else FLOAT64)
+
+    def __getnewargs__(self):
+        return self.lam, self.order
+
+    def __repr__(self):
+        return f"GegenbauerParams(lam={self.lam!r}, order={self.order!r})"
 
 
-@dataclass(frozen=True)
-class GegenbauerTable:
+class GegenbauerTable(namedtuple("GegenbauerTable", "params route")):
     """Polynomials [C_0, ..., C_N] in t, `polys`, built once from `params` by `route`:
     at construction for an exact table, whose `evaluate` runs Horner over them, and on
     the first read of `polys` for a float table, whose `evaluate` never reads them.
     `params` and `route` determine the rows, so they alone decide `==` and the hash."""
 
-    params: GegenbauerParams
-    route: Route
-
-    def __post_init__(self):
-        object.__setattr__(self, "route", Route(self.route))
-        if self.params.field is EXACT:
+    def __new__(cls, params: GegenbauerParams, route: Route):
+        self = super().__new__(cls, params, Route(route))
+        if params.field is EXACT:
             self.polys  # built now, not on first read
         elif self.route is Route.COMPOSITION:
             raise ValueError("the composition route supports exact mode only")
+        return self
+
+    def __reduce__(self):
+        # pickle and copy carry built rows in the state, so they are never built again
+        return tuple.__new__, (type(self), tuple(self)), vars(self)
 
     @cached_property
     def polys(self) -> tuple:
@@ -250,8 +256,7 @@ def value_via_recurrence(lam, m: int, t):
     return Fraction(value, (q * v) ** m * factorial(m))
 
 
-@dataclass(frozen=True)
-class ConjugateValue:
+class ConjugateValue(NamedTuple):
     """Real part of the conjugate-product convolution plus its imaginary residue."""
 
     value: float
@@ -262,7 +267,8 @@ class ConjugateValue:
 def value_via_conjugate_product(lam, phi: float, m: int) -> ConjugateValue:
     """C_m(cos phi) as sum_k (lam)_k (lam)_{m-k} / (k! (m-k)!) e^{i(2k-m) phi}.
 
-    The sum is mathematically real; the imaginary residue is recorded and the
+    The sum is taken as its real and imaginary parts, the weights times cos and sin of
+    (2k-m) phi.  It is mathematically real; the imaginary residue is recorded and the
     result is flagged when |imag| exceeds 1e-10 * (1 + |real|),
     which signals a numerical defect rather than a math error.  A phi that is
     inf or nan raises ValueError; a sum that overflows to inf or nan raises
@@ -273,15 +279,16 @@ def value_via_conjugate_product(lam, phi: float, m: int) -> ConjugateValue:
     if not isfinite(phi):
         raise ValueError(f"phi must be finite, not {phi!r}")
     prefix = gamma_ratios(float(lam), m)
-    total = complex(0.0)
+    real = imag = 0.0
     for k in range(m + 1):
-        phase = cmath.exp(1j * ((2 * k - m) * phi))
-        total += prefix[k] * prefix[m - k] * phase
-    if not cmath.isfinite(total):
+        weight, x = prefix[k] * prefix[m - k], (2 * k - m) * phi
+        real += weight * cos(x)
+        imag += weight * sin(x)
+    if not (isfinite(real) and isfinite(imag)):
         raise OverflowError("conjugate-product sum is not finite")
-    residue = abs(total.imag)
-    ok = residue <= _IMAG_TOLERANCE * (1.0 + abs(total.real))
-    return ConjugateValue(total.real, residue, ok)
+    residue = abs(imag)
+    ok = residue <= _IMAG_TOLERANCE * (1.0 + abs(real))
+    return ConjugateValue(real, residue, ok)
 
 
 def value_at_one(lam, m: int):
@@ -346,8 +353,7 @@ def majorant_tail(lam, order: int, r):
     return _majorant_remainder(2 * lam if exact else 2.0 * float(lam), order + 1, rr)
 
 
-@dataclass(frozen=True)
-class DerivativeInterchangeReport:
+class DerivativeInterchangeReport(NamedTuple):
     """Closed-form t-derivative of the generating function vs. the term-wise sum."""
 
     lam: float

@@ -24,9 +24,9 @@ Every report equals the one `verify` gives, float bits included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .coefficients import _check_index, _rising_product, check_lambda, gamma_ratios
 from .gegenbauer import value_at_one as identity_rhs
@@ -34,8 +34,7 @@ from .gegenbauer import value_at_one as identity_rhs
 __all__ = ["IdentityReport", "identity_lhs", "identity_rhs", "verify", "sweep"]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """One (lam, m) verification: exact reports carry an equality flag, float
     reports carry a relative residual |lhs - rhs| / max(1, |rhs|)."""
 

@@ -48,7 +48,7 @@ class Polynomial:
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial)
-                and self.field is other.field and self.coeffs == other.coeffs)
+                and self.field == other.field and self.coeffs == other.coeffs)
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"

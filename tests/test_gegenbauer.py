@@ -1,6 +1,9 @@
 """The three Gegenbauer routes, the t = 1 majorant, and the derivative check."""
 
+import cmath
+import copy
 import math
+import pickle
 import random
 import sys
 import threading
@@ -12,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gegenkit import gegenbauer
-from gegenkit.coefficients import gamma_ratio_coefficient
+from gegenkit.coefficients import gamma_ratio_coefficient, gamma_ratios
 from gegenkit.fields import EXACT, FLOAT64
 from gegenkit.gegenbauer import (
     GegenbauerParams,
@@ -126,6 +129,65 @@ class TestParams:
         # True must not run as t = 1 (or phi, r = 1), nor False as 0
         with pytest.raises(TypeError, match="cannot coerce bool"):
             call(point)
+
+
+_RECORDS = {
+    "params": (lambda: GegenbauerParams(Fraction(7, 3), 5), "lam"),
+    "params-field": (lambda: GegenbauerParams(Fraction(7, 3), 5), "field"),
+    "table": (lambda: table_via_recurrence(GegenbauerParams(Fraction(7, 3), 5)), "route"),
+    "conjugate": (lambda: value_via_conjugate_product(1.5, 0.7, 9), "value"),
+    "derivative": (lambda: derivative_interchange_check(1.5, 0.5, 0.4, 12), "residual"),
+    "identity": (lambda: sweep([Fraction(7, 3)], 4)[-1], "exact_equal"),
+    "field": (lambda: EXACT, "zero"),
+}
+
+_ROUND_TRIPS = {
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+_PICKLED = {
+    "exact-params": lambda: GegenbauerParams(Fraction(7, 3), 5),
+    "float-params": lambda: GegenbauerParams(2.5, 5),
+    "exact-table": lambda: table_via_composition(GegenbauerParams(Fraction(7, 3), 5)),
+    "float-table": lambda: table_via_recurrence(GegenbauerParams(2.5, 5)),
+    "conjugate": lambda: value_via_conjugate_product(1.5, 0.7, 9),
+    "sweep-report": lambda: sweep([Fraction(7, 3), 0.5], 4)[-1],
+}
+
+
+class TestRecords:
+    """Params, tables and reports are immutable values that survive pickle and copy."""
+
+    @pytest.mark.parametrize("make, name", _RECORDS.values(), ids=_RECORDS.keys())
+    def test_fields_cannot_be_assigned(self, make, name):
+        record = make()
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        assert getattr(record, name) is before
+
+    @pytest.mark.parametrize("trip", _ROUND_TRIPS.values(), ids=_ROUND_TRIPS.keys())
+    @pytest.mark.parametrize("make", _PICKLED.values(), ids=_PICKLED.keys())
+    def test_round_trip_gives_an_equal_record(self, make, trip):
+        record = make()
+        clone = trip(record)
+        assert clone == record and type(clone) is type(record)
+        params = getattr(record, "params", record)
+        if isinstance(params, GegenbauerParams):
+            # the field is chosen again from lam, so a clone runs in the same field
+            assert getattr(clone, "params", clone).field is params.field
+        if isinstance(record, GegenbauerTable):
+            assert clone.polys == record.polys
+            assert clone.evaluate(5, 0.25) == record.evaluate(5, 0.25)
+
+    def test_params_repr_names_lambda_and_order_only(self):
+        assert repr(GegenbauerParams(Fraction(7, 3), 5)) == "GegenbauerParams(lam=Fraction(7, 3), order=5)"
+        assert repr(GegenbauerParams(2.5, 0)) == "GegenbauerParams(lam=2.5, order=0)"
+
+    def test_fields_are_unequal(self):
+        assert EXACT != FLOAT64
 
 
 class TestComposition:
@@ -315,6 +377,16 @@ class TestDeferredRows:
         want = [[c.hex() for c in row] for row in generic_float_recurrence(2.5, 120)]
         for rows in seen + [tbl.polys]:
             assert [[c.hex() for c in p.coeffs] for p in rows] == want
+
+    @pytest.mark.parametrize("trip", _ROUND_TRIPS.values(), ids=_ROUND_TRIPS.keys())
+    def test_copies_build_no_rows(self, row_builds, trip):
+        exact = table_via_composition(GegenbauerParams(Fraction(7, 3), 40))
+        unread = table_via_recurrence(GegenbauerParams(2.5, 40))
+        del row_builds[:]
+        exact_clone, unread_clone = trip(exact), trip(unread)
+        assert row_builds == []
+        assert exact_clone.polys == exact.polys and row_builds == []
+        assert unread_clone.polys == unread.polys and row_builds == ["_float_rows"] * 2
 
     def test_float_equality_builds_no_rows(self, row_builds):
         params = GegenbauerParams(2.5, 400)
@@ -563,6 +635,19 @@ class TestConjugateProduct:
         # (300)_k / k! overflows to inf at k = 1022, and the sum then holds inf - inf
         with pytest.raises(OverflowError):
             value_via_conjugate_product(300.0, 0.1, 2000)
+
+    def test_bits_match_a_cmath_exp_reference(self):
+        # each phase e^{i x}, x = (2k - m) phi, as cmath.exp gives it: the same doubles
+        rng = random.Random(2025)
+        for _ in range(60):
+            lam, phi, m = rng.uniform(0.01, 9.0), rng.uniform(-7.0, 7.0), rng.randint(0, 400)
+            a = gamma_ratios(lam, m)
+            total = complex(0.0)
+            for k in range(m + 1):
+                total += a[k] * a[m - k] * cmath.exp(1j * ((2 * k - m) * phi))
+            got = value_via_conjugate_product(lam, phi, m)
+            assert got.value.hex() == total.real.hex()
+            assert got.imag_residue.hex() == abs(total.imag).hex()
 
     def test_agreement_with_exact_evaluation(self):
         for lam in LAMBDAS:

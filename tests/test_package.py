@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +35,30 @@ def test_layer_module_imports(layer):
 
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def modules_loaded_by(statement: str) -> set:
+    """The names in `sys.modules` of a fresh interpreter once it has run `statement`."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = f"import sys\n{statement}\nprint(*sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    return set(run.stdout.split())
+
+
+def test_cli_start_up_loads_only_what_commands_use():
+    # every command runs in a fresh process, so each module loaded here is paid on every call;
+    # csv and json load in the branch that writes their format
+    loaded = modules_loaded_by("import gegenkit.cli")
+    assert "gegenkit.cli" in loaded
+    assert loaded & {"dataclasses", "csv", "json", "cmath"} == set()
+
+
+def test_library_import_does_not_load_click():
+    loaded = modules_loaded_by("import gegenkit")
+    assert "gegenkit.identity" in loaded and "click" not in loaded
+
+
 SOURCES = sorted((ROOT / "src" / "gegenkit").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
