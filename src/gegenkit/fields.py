@@ -1,10 +1,12 @@
-"""The two coefficient fields of a table, and the scalar literal format.
+"""The two scalar fields, exact and float, and the scalar literal format.
 
 Scalars are plain Python values and combine through their own operators; a
 `CoefficientField` supplies the zero and the coercion rule of one
 realization: `EXACT` (``fractions.Fraction``, canonical after every
-operation) or `FLOAT64` (IEEE-754 doubles).  Neither coercion takes a `bool`.
-Fields are named tuples and compare by value: `EXACT != FLOAT64`.
+operation) or `FLOAT64` (IEEE-754 doubles).  Every point and parameter the
+library takes goes through one of the two coercions, and neither takes a
+`bool`.  Fields are named tuples and compare by value:
+`EXACT != FLOAT64`.
 
 It also owns the scalar literal format used by the CLI and by JSON payloads:
 ``"p/q"`` (q > 0) or a plain integer for exact values, standard

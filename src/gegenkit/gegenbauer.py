@@ -65,14 +65,14 @@ class Route(enum.Enum):
     RECURRENCE = "recurrence"
 
 
-class GegenbauerParams(namedtuple("GegenbauerParams", "lam order field")):
+class GegenbauerParams(namedtuple("GegenbauerParams", "lam order exact")):
     """Order parameter lam > 0 plus the truncation order / maximal degree N.
 
-    A Fraction (or int) lam selects exact mode, a float lam selects float
-    mode; the choice, `field`, flows through to the polynomial coefficients.  It is
-    compared, so params of equal lam in the two modes are unequal.  Pickle and copy
-    rebuild a params from lam and order, and its repr shows only those two, since a
-    field's repr holds the address of its coercion.
+    A Fraction (or int) lam selects exact mode, a float lam selects float mode; `exact`
+    records the choice.  It is derived from lam and never passed in, and it is compared,
+    so params of equal lam in the two modes are unequal.  Pickle, copy, `_make` and
+    `_replace` rebuild a params from lam and order through `__new__` and its checks, and
+    its repr shows only those two, as the constructor takes them.
     """
 
     __slots__ = ()
@@ -80,7 +80,12 @@ class GegenbauerParams(namedtuple("GegenbauerParams", "lam order field")):
     def __new__(cls, lam, order: int):
         lam = check_lambda(lam)
         _check_index(order, "order")
-        return super().__new__(cls, lam, order, EXACT if isinstance(lam, Fraction) else FLOAT64)
+        return super().__new__(cls, lam, order, isinstance(lam, Fraction))
+
+    @classmethod
+    def _make(cls, iterable):
+        lam, order, *_ = iterable
+        return cls(lam, order)
 
     def __getnewargs__(self):
         return self.lam, self.order
@@ -93,15 +98,20 @@ class GegenbauerTable(namedtuple("GegenbauerTable", "params route")):
     """Polynomials [C_0, ..., C_N] in t, `polys`, built once from `params` by `route`:
     at construction for an exact table, whose `evaluate` runs Horner over them, and on
     the first read of `polys` for a float table, whose `evaluate` never reads them.
-    `params` and `route` determine the rows, so they alone decide `==` and the hash."""
+    `params` and `route` determine the rows, so they alone decide `==` and the hash.
+    `_make`, and so `_replace`, runs the constructor, route checks and eager rows alike."""
 
     def __new__(cls, params: GegenbauerParams, route: Route):
         self = super().__new__(cls, params, Route(route))
-        if params.field is EXACT:
+        if params.exact:
             self.polys  # built now, not on first read
         elif self.route is Route.COMPOSITION:
             raise ValueError("the composition route supports exact mode only")
         return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __reduce__(self):
         # pickle and copy carry built rows in the state, so they are never built again
@@ -109,14 +119,14 @@ class GegenbauerTable(namedtuple("GegenbauerTable", "params route")):
 
     @cached_property
     def polys(self) -> tuple:
-        f, n, lam = self.params.field, self.params.order, self.params.lam
-        if f is EXACT:
+        n, lam = self.params.order, self.params.lam
+        if self.params.exact:
             p, q = lam.numerator, lam.denominator
             rows = (_composition_rows(p, q, n) if self.route is Route.COMPOSITION
                     else islice(_exact_rows(p, q), n + 1))
-            return tuple(Polynomial._of([Fraction(c, d) if c else f.zero for c in row], f)
+            return tuple(Polynomial(tuple([Fraction(c, d) if c else EXACT.zero for c in row]))
                          for row, d in rows)
-        return tuple(Polynomial._of(row, f) for row in islice(_float_rows(lam), n + 1))
+        return tuple(Polynomial(tuple(row)) for row in islice(_float_rows(lam), n + 1))
 
     def evaluate(self, m: int, t):
         """C_m at t in the table's own field.
@@ -128,7 +138,7 @@ class GegenbauerTable(namedtuple("GegenbauerTable", "params route")):
         _check_index(m, "m")
         if m > self.params.order:
             raise ValueError(f"degree {m} outside table range 0..{self.params.order}")
-        if self.params.field is FLOAT64:
+        if not self.params.exact:
             return value_via_recurrence(self.params.lam, m, t)
         return self.polys[m].evaluate(t)
 

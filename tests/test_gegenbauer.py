@@ -43,7 +43,7 @@ MAJORANT = "majorant closed form (1 - r)^(-2 lam)"
 
 
 def poly(coeffs):
-    return Polynomial([Fraction(c) for c in coeffs])
+    return Polynomial(tuple(Fraction(c) for c in coeffs))
 
 
 class TestParams:
@@ -59,13 +59,16 @@ class TestParams:
         with pytest.raises(TypeError):
             GegenbauerParams("1", 3)
 
-    def test_field_selection(self):
-        assert GegenbauerParams(Fraction(1, 2), 4).field is EXACT
-        assert GegenbauerParams(1, 4).field is EXACT  # ints promote to Fraction
-        assert GegenbauerParams(0.5, 4).field is FLOAT64
+    def test_mode_selection(self):
+        assert GegenbauerParams(Fraction(1, 2), 4).exact is True
+        assert GegenbauerParams(1, 4).exact is True  # ints promote to Fraction
+        assert GegenbauerParams(0.5, 4).exact is False
+        # the mode follows lam through `_replace`, whatever `exact` is given
+        assert GegenbauerParams(Fraction(1, 2), 4)._replace(lam=0.5) == GegenbauerParams(0.5, 4)
+        assert GegenbauerParams(0.5, 4)._replace(exact=True).exact is False
 
     def test_modes_compare_unequal(self):
-        # Fraction(5, 2) == 2.5, but the two select different fields
+        # Fraction(5, 2) == 2.5, but the two select different modes
         exact, approx = GegenbauerParams(Fraction(5, 2), 4), GegenbauerParams(2.5, 4)
         assert exact != approx and exact == GegenbauerParams(Fraction(5, 2), 4)
         assert table_via_recurrence(exact) != table_via_recurrence(approx)
@@ -87,6 +90,11 @@ class TestParams:
             GegenbauerTable(params, "bogus")
         with pytest.raises(ValueError, match="the composition route supports exact mode only"):
             GegenbauerTable(GegenbauerParams(0.5, 3), "composition")
+        # `_replace` takes a str route the same way, and builds an exact table's rows
+        del row_builds[:]
+        other = tbl._replace(route="recurrence")
+        assert other.route is Route.RECURRENCE and other == table_via_recurrence(params)
+        assert row_builds == ["_exact_rows", "_exact_rows"]
 
     @pytest.mark.parametrize("call", [
         lambda: GegenbauerParams(2.5, True),
@@ -133,7 +141,7 @@ class TestParams:
 
 _RECORDS = {
     "params": (lambda: GegenbauerParams(Fraction(7, 3), 5), "lam"),
-    "params-field": (lambda: GegenbauerParams(Fraction(7, 3), 5), "field"),
+    "params-exact": (lambda: GegenbauerParams(Fraction(7, 3), 5), "exact"),
     "table": (lambda: table_via_recurrence(GegenbauerParams(Fraction(7, 3), 5)), "route"),
     "conjugate": (lambda: value_via_conjugate_product(1.5, 0.7, 9), "value"),
     "derivative": (lambda: derivative_interchange_check(1.5, 0.5, 0.4, 12), "residual"),
@@ -156,6 +164,16 @@ _PICKLED = {
     "sweep-report": lambda: sweep([Fraction(7, 3), 0.5], 4)[-1],
 }
 
+_REBUILDS = {
+    "params-replace": (lambda: GegenbauerParams(Fraction(1, 2), 3)._replace(lam=-1.0),
+                       "lambda must be positive"),
+    "params-make": (lambda: GegenbauerParams._make((-1.0, 3, True)), "lambda must be positive"),
+    "table-replace": (lambda: table_via_recurrence(GegenbauerParams(2.5, 4))._replace(
+        route="composition"), "the composition route supports exact mode only"),
+    "table-make": (lambda: GegenbauerTable._make((GegenbauerParams(2.5, 4), "composition")),
+                   "the composition route supports exact mode only"),
+}
+
 
 class TestRecords:
     """Params, tables and reports are immutable values that survive pickle and copy."""
@@ -176,11 +194,18 @@ class TestRecords:
         assert clone == record and type(clone) is type(record)
         params = getattr(record, "params", record)
         if isinstance(params, GegenbauerParams):
-            # the field is chosen again from lam, so a clone runs in the same field
-            assert getattr(clone, "params", clone).field is params.field
+            # the mode is derived again from lam, so a clone runs in the same mode
+            assert getattr(clone, "params", clone).exact is params.exact
         if isinstance(record, GegenbauerTable):
             assert clone.polys == record.polys
             assert clone.evaluate(5, 0.25) == record.evaluate(5, 0.25)
+
+    @pytest.mark.parametrize("rebuild, message", _REBUILDS.values(), ids=_REBUILDS.keys())
+    def test_replace_and_make_run_the_constructor(self, rebuild, message):
+        # a record rebuilt from fields must meet the checks its constructor makes
+        with pytest.raises(ValueError) as exc:
+            rebuild()
+        assert str(exc.value) == message
 
     def test_params_repr_names_lambda_and_order_only(self):
         assert repr(GegenbauerParams(Fraction(7, 3), 5)) == "GegenbauerParams(lam=Fraction(7, 3), order=5)"
@@ -245,7 +270,7 @@ class TestRecurrence:
 
     def test_float_mode_supported(self):
         tbl = table_via_recurrence(GegenbauerParams(0.5, 6))
-        assert tbl.params.field is FLOAT64
+        assert tbl.params.exact is False
         assert isinstance(tbl.polys[3].coeffs[1], float)
 
     def test_float_coeffs_match_exact_within_1e12(self):
@@ -424,14 +449,24 @@ def tables():
     return {lam: table_via_composition(GegenbauerParams(lam, 20)) for lam in LAMBDAS}
 
 
+_LEADING = {
+    **{f"{build.__name__.removeprefix('table_via_')}-{lam}": (build, lam, 20)
+       for build in (table_via_composition, table_via_recurrence) for lam in LAMBDAS},
+    **{f"float-{lam}": (table_via_recurrence, lam, 200) for lam in (5e-324, 1e-3, 2.5, 1e300)},
+}
+
+
 class TestTableInvariants:
 
-    def test_degree_and_leading_coefficient(self, tables):
-        for lam, tbl in tables.items():
-            for m, p in enumerate(tbl.polys):
-                assert p.degree == m
-                want = 2 ** m * pochhammer(lam, m) / math.factorial(m)
-                assert p.coeffs[-1] == want
+    @pytest.mark.parametrize("build, lam, n", _LEADING.values(), ids=_LEADING.keys())
+    def test_degree_and_leading_coefficient(self, build, lam, n):
+        # C_m has degree m, and its leading coefficient is a_m >= 1 times the one before, so
+        # it never rounds to 0.0 (at lam = 1e300 it overflows to inf): no row ends in a zero
+        tbl = build(GegenbauerParams(lam, n))
+        for m, p in enumerate(tbl.polys):
+            assert len(p.coeffs) == m + 1 and p.coeffs[-1] != 0
+            if tbl.params.exact:
+                assert p.coeffs[-1] == 2 ** m * pochhammer(lam, m) / math.factorial(m)
 
     def test_parity_structure(self, tables):
         for tbl in tables.values():

@@ -2,9 +2,11 @@
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,22 @@ def test_package_all_is_the_layers_all_in_order():
 def test_layer_module_imports(layer):
     module = importlib.import_module(f"gegenkit.{layer}")
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_names_the_benchmark_harness_reaches():
+    # perfbench/ imports these names and patches `evaluate` on the class itself: breaking
+    # one must fail here, not only in the slower benchmark smoke
+    from gegenkit import fields, gegenbauer, polynomials, series
+
+    assert series.compose_inner_polynomial is gegenbauer.compose_inner_polynomial
+    assert "evaluate" in vars(polynomials.Polynomial)
+    assert inspect.isclass(fields.CoefficientField)
+    lam = Fraction(7, 3)
+    tbl = gegenbauer.table_via_recurrence(gegenbauer.GegenbauerParams(lam, 6))
+    assert [sum(row.coeffs) for row in tbl.polys] == [gegenbauer.value_at_one(lam, m)
+                                                      for m in range(7)]
+    assert list(inspect.signature(gegenbauer.value_via_conjugate_product).parameters) == [
+        "lam", "phi", "m"]
 
 
 ROOT = Path(__file__).resolve().parent.parent
