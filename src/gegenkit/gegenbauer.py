@@ -5,9 +5,9 @@ routes:
 
 * composition  -- expand sum_j C(-lam, j) (r^2 - 2 t r)^j over polynomial
   coefficients and collect powers of r; exact, yields whole polynomials.
-  `series` multiplies by u = r^2 - 2 t r on integer rows (row m: the
-  coefficients in t of r^m), on q^N N! C_m (lam = p/q), and each coefficient
-  is reduced once.
+  `series` steps each power of u = r^2 - 2 t r as one integer per power of r,
+  and sets each coefficient of C_m once, as one product C(-lam, j) times that
+  integer: no common scale, and no sum.
 * recurrence   -- C_0 = 1, C_1 = 2 lam t,
   m C_m = 2 t (m + lam - 1) C_{m-1} - (m + 2 lam - 2) C_{m-2};
   works over exact rationals or floats.  Exact mode (lam = p/q) carries
@@ -120,13 +120,14 @@ class GegenbauerTable(namedtuple("GegenbauerTable", "params route")):
     @cached_property
     def polys(self) -> tuple:
         n, lam = self.params.order, self.params.lam
-        if self.params.exact:
-            p, q = lam.numerator, lam.denominator
-            rows = (_composition_rows(p, q, n) if self.route is Route.COMPOSITION
-                    else islice(_exact_rows(p, q), n + 1))
-            return tuple(Polynomial(tuple([Fraction(c, d) if c else EXACT.zero for c in row]))
-                         for row, d in rows)
-        return tuple(Polynomial(tuple(row)) for row in islice(_float_rows(lam), n + 1))
+        if not self.params.exact:
+            rows = islice(_float_rows(lam), n + 1)
+        elif self.route is Route.COMPOSITION:
+            rows = _composition_rows(lam, n)
+        else:
+            rows = ([Fraction(c, d) if c else EXACT.zero for c in row]
+                    for row, d in islice(_exact_rows(lam.numerator, lam.denominator), n + 1))
+        return tuple(Polynomial(tuple(row)) for row in rows)
 
     def evaluate(self, m: int, t):
         """C_m at t in the table's own field.
@@ -147,25 +148,20 @@ def table_via_composition(params: GegenbauerParams) -> GegenbauerTable:
     """Expand the generating function symbolically in t; exact mode only.
 
     The inner polynomial r^2 - 2 t r has valuation 1, so collecting powers of r from sum_j
-    C(-lam, j) (r^2 - 2 t r)^j through j = N yields every exact C_m, m <= N.  The sum runs
-    on integer rows, scaled by q^N N! for lam = p/q (`_composition_rows`).
+    C(-lam, j) (r^2 - 2 t r)^j through j = N yields every exact C_m, m <= N.  Each
+    coefficient is one product of a reduced C(-lam, j) and an integer coefficient of
+    u^j (`_composition_rows`).
     """
     return GegenbauerTable(params, Route.COMPOSITION)
 
 
-def _composition_rows(p: int, q: int, n: int):
-    """(row_m, q^n n!) for m = 0..n, row_m the integer coefficients of q^n n! C_m, lam = p/q.
-
-    The outer coefficients c_j = q^n n! C(-lam, j) = (-1)^j q^(n-j) (n!/j!) prod_{i<j} (p + i q)
-    are integers, stepped as c_{j+1} = -c_j (p + j q) / (q (j+1)) by exact division, and
-    u = r^2 - 2 t r has integer coefficients.  So `compose_inner_polynomial` runs the whole
-    expansion on integer rows, and row m comes back as row_m.
-    """
-    scale = q**n * factorial(n)
-    outer = list(accumulate(range(n), lambda c, j: -c * (p + j * q) // (q * (j + 1)),
-                            initial=scale))
-    rows = compose_inner_polynomial(outer)
-    return ((row, scale) for row in rows)
+def _composition_rows(lam: Fraction, n: int) -> list:
+    """The rows of C_0, ..., C_n, lam exact: `compose_inner_polynomial` over the outer
+    coefficients C(-lam, j), j <= n, reduced Fractions stepped as
+    c_{j+1} = -c_j (lam + j) / (j + 1) from c_0 = 1.  Each entry is one c_j times an
+    integer, so it is reduced against the denominator of c_j alone."""
+    return compose_inner_polynomial(list(accumulate(
+        range(n), lambda c, j: -c * (lam + j) / (j + 1), initial=Fraction(1))))
 
 
 def _next_row(a, b, row: list, older: list, zero) -> list:

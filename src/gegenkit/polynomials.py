@@ -2,8 +2,8 @@
 
 A `GegenbauerTable` holds its C_m as `Polynomial`s, plain tuples of coefficients
 that are all Fraction in an exact table and all float in a float one.  No
-arithmetic between polynomials is defined; the composition route multiplies
-plain integer rows (`series`).
+arithmetic between polynomials is defined; the composition route sets each
+coefficient by one product of scalars (`series`).
 """
 
 from __future__ import annotations

@@ -322,8 +322,9 @@ class TestRecurrenceKernels:
             assert math.lcm(*(Fraction(c, d).denominator for c in row)) == d
 
     def test_exact_equals_composition_at_high_degree(self):
-        # 251/185: a three-digit denominator, so the composition's integers are wide
-        for lam, n in ((Fraction(17, 7), 120), (Fraction(251, 185), 200)):
+        # 251/185: a three-digit denominator, so C(-lam, j) has wide denominators
+        for lam, n in ((Fraction(17, 7), 120), (Fraction(251, 185), 200),
+                       (Fraction(251, 185), 400)):
             params = GegenbauerParams(lam, n)
             assert table_via_recurrence(params).polys == table_via_composition(params).polys
 

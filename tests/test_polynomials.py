@@ -14,7 +14,7 @@ class TestArithmetic:
         assert p.evaluate(2) == 2.0 and isinstance(p.evaluate(Fraction(1, 2)), float)
 
     def test_no_ring_operators(self):
-        # the composition route multiplies integer rows (`series`); a table row has no arithmetic
+        # the composition route sets each entry by one product (`series`); a row has no arithmetic
         p = Polynomial((Fraction(1), Fraction(1)))
         with pytest.raises(TypeError):
             p * p

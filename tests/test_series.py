@@ -1,4 +1,7 @@
-"""The composition sum over u = r^2 - 2tr, on integer rows."""
+"""The composition sum over u = r^2 - 2tr: one integer per power, one product per entry.
+
+The rows take the type of the outer coefficients: ints for ints, Fractions for Fractions.
+"""
 
 import math
 from fractions import Fraction
@@ -87,14 +90,18 @@ class TestCompose:
     def test_matches_bruteforce_powers(self):
         """sum_j b_j u^j with u = r^2 - 2tr against independent bivariate expansion.
 
-        The outer coefficients b_j = q^n n! C(-lam, j), lam = p/q, are integers, so
-        the expansion runs on integer rows and gives q^n n! C_m.
+        Scaled, the outer coefficients b_j = q^n n! C(-lam, j), lam = p/q, are integers,
+        so the rows are integers and give q^n n! C_m.  Unscaled, as the composition route
+        runs, b_j = C(-lam, j) are Fractions, and so is every entry, zeros included.
         """
         for lam in [Fraction(1), Fraction(1, 2), Fraction(7, 3)]:
             n = 12
+            want = gegenbauer_coeff_lists(lam, n)
             scale = lam.denominator**n * math.factorial(n)
             outer = [scale * falling_binomial(-lam, j) for j in range(n + 1)]
             assert all(b.denominator == 1 for b in outer)
             got = compose_inner_polynomial([int(b) for b in outer])
-            want = gegenbauer_coeff_lists(lam, n)
             assert got == [[scale * c for c in row] for row in want]
+            got = compose_inner_polynomial([falling_binomial(-lam, j) for j in range(n + 1)])
+            assert got == want
+            assert all(type(c) is Fraction for row in got for c in row)
