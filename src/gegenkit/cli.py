@@ -256,9 +256,9 @@ def deriv_check(lam_text, t_text, r_text, order, tolerance, fmt):
     lam, t, r = _parse_literals([lam_text, t_text, r_text], "float")
     rep = derivative_interchange_check(lam, t, r, order)
     ok = rep.residual <= tolerance
-    _emit(fmt, [(rep.lam, order, "deriv-check", rep.closed_form, rep.partial_sum, rep.residual,
+    _emit(fmt, [(lam, order, "deriv-check", rep.closed_form, rep.partial_sum, rep.residual,
                  "pass" if ok else "fail"),
-                (rep.lam, order, "deriv-check-budget", rep.tail_budget, None, None, "ok")],
+                (lam, order, "deriv-check-budget", rep.tail_budget, None, None, "ok")],
           _deriv_lines)
     if not ok:
         sys.exit(1)

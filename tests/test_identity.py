@@ -1,6 +1,7 @@
 """The rising-factorial convolution identity, exact and float."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -197,6 +198,15 @@ class TestCrossModule:
                 got = value_via_conjugate_product(lam, 0.0, m)
                 want = identity_lhs(lam, m)
                 assert abs(got.value - want) <= 1e-10 * (1 + abs(want))
+
+    def test_conjugate_sum_at_phi_zero_is_the_left_side_bit_for_bit(self):
+        # the paper's proof: at phi = 0 every cos is 1.0 and every sin is +-0.0, so the
+        # conjugate route sums the same float products in the same order as the left side
+        rng = random.Random(28)
+        for _ in range(2000):
+            lam, m = rng.uniform(0.01, 50.0), rng.randint(0, 400)
+            got = value_via_conjugate_product(lam, 0.0, m)
+            assert (got.value, got.imag_residue) == (identity_lhs(lam, m), 0.0), (lam, m)
 
     @settings(max_examples=150, deadline=None)
     @given(positive_rationals, st.integers(min_value=0, max_value=60))

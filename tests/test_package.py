@@ -37,9 +37,9 @@ def test_layer_module_imports(layer):
 
 
 def test_names_the_benchmark_harness_reaches():
-    # perfbench/ imports these names and patches `evaluate` on the class itself: breaking
-    # one must fail here, not only in the slower benchmark smoke
-    from gegenkit import fields, gegenbauer, polynomials, series
+    # perfbench/ imports these names, patches `evaluate` on the class itself and reads these
+    # record fields: breaking one must fail here, not only in the slower benchmark smoke
+    from gegenkit import fields, gegenbauer, identity, polynomials, series
 
     assert series.compose_inner_polynomial is gegenbauer.compose_inner_polynomial
     assert "evaluate" in vars(polynomials.Polynomial)
@@ -50,6 +50,13 @@ def test_names_the_benchmark_harness_reaches():
                                                       for m in range(7)]
     assert list(inspect.signature(gegenbauer.value_via_conjugate_product).parameters) == [
         "lam", "phi", "m"]
+    for record, read in [
+        (gegenbauer.ConjugateValue, {"value", "imag_residue", "within_tolerance"}),
+        (gegenbauer.DerivativeInterchangeReport, {"closed_form", "partial_sum", "residual"}),
+        (identity.IdentityReport, {"lam", "m", "lhs", "rhs", "exact_equal"}),
+    ]:
+        assert read <= set(record._fields), record.__name__
+    assert identity.verify(lam, 3).passed() is True
 
 
 ROOT = Path(__file__).resolve().parent.parent
