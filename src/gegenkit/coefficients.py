@@ -5,9 +5,11 @@ used downstream is a ratio with an integer offset, which collapses to a finite
 product.  That keeps values exact over the rationals and overflow-free over
 floats.
 
-An exact x = p/q (a Fraction or int) runs in integers: (x)_m / m! is the
-product P_m = prod_{j<m} (p + j q) over q^m m!, reduced once (DLMF 5.2(iii)).
-A float x runs the running product of (x+k)/(k+1) in `gamma_ratios`.
+For an exact x = p/q (a Fraction or int), `gamma_ratio_coefficient` runs in
+integers: (x)_m / m! is the product P_m = prod_{j<m} (p + j q) over q^m m!,
+reduced once (DLMF 5.2(iii)).  `gamma_ratios` steps the running product of
+(x+k)/(k+1) for every k < m, in reduced Fractions for an exact x and in floats
+for a float x.
 """
 
 from __future__ import annotations

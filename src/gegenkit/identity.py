@@ -14,11 +14,14 @@ P_k = prod_{j<k} (p + j q) and Q_m = prod_{j<m} (2p + j q) (DLMF 5.2(iii)).
 As t_k = t_{m-k} and t_{k+1} / t_k = (m-k)(p + k q) / ((k+1)(p + (m-k-1) q)),
 Horner on that ratio of small integers sums from the middle term out to
 t_0 = P_m with big-by-small products only (Petkovsek, Wilf & Zeilberger, 1996).
-The left side reads P alone; the right side is gegenbauer.value_at_one, C_m(1).
+The left side reads P alone; in `verify` the right side is
+gegenbauer.value_at_one, C_m(1).
 Float mode sums gamma_ratios left to right.
 
-`sweep` takes each lam once: it carries P_m, Q_m and q^m m! from m-1 to m (or,
-in float mode, builds the gamma_ratios prefixes of lam and 2 lam up to m_max).
+`sweep` takes each lam once.  In both modes its right side is the running row
+gamma_ratios(2 lam, m_max), which reaches the same reduced values as
+value_at_one.  Exact mode carries only P_m and q^m m! from m-1 to m for the
+left side; float mode builds the gamma_ratios prefix of lam up to m_max.
 Every report equals the one `verify` gives, float bits included.
 """
 
@@ -106,25 +109,27 @@ def verify(lam, m: int) -> IdentityReport:
 
 
 def _lambda_reports(lam, m_max: int) -> list[IdentityReport]:
-    """verify(lam, m) for m = 0..m_max, with each side's running products carried from m-1 to m."""
+    """verify(lam, m) for m = 0..m_max.  Both modes read the right side off the row
+    gamma_ratios(2 lam, m_max); exact mode carries only P_m and q^m m! from m-1 to m."""
     lam = check_lambda(lam)
+    rhs = gamma_ratios(2 * lam, m_max)
     if isinstance(lam, float):
-        a, b = gamma_ratios(lam, m_max), gamma_ratios(2 * lam, m_max)
-        return [_report(lam, m, _float_convolution(a, m), b[m]) for m in range(m_max + 1)]
+        a = gamma_ratios(lam, m_max)
+        return [_report(lam, m, _float_convolution(a, m), rhs[m]) for m in range(m_max + 1)]
     p, q = lam.numerator, lam.denominator
-    reports, P, Q, scale = [], 1, 1, 1
+    reports, P, scale = [], 1, 1
     for m in range(m_max + 1):
-        lhs = Fraction(_lhs_numerator(p, q, m, P), scale)
-        reports.append(_report(lam, m, lhs, Fraction(Q, scale)))
-        P, Q, scale = P * (p + m * q), Q * (2 * p + m * q), scale * (m + 1) * q
+        reports.append(_report(lam, m, Fraction(_lhs_numerator(p, q, m, P), scale), rhs[m]))
+        P, scale = P * (p + m * q), scale * (m + 1) * q
     return reports
 
 
 def sweep(lambdas, m_max: int) -> list[IdentityReport]:
     """Reports for the full grid, in (lambda, m) input order; equal to verify(lam, m) each.
 
-    Items are independent; the order of the output never depends on how the
-    work is scheduled.
+    Each lam's right side, exact or float, is its running row gamma_ratios(2 lam, m_max).
+    The exact left side carries only P_m and q^m m! from m-1 to m and reduces one
+    Fraction per m; the float left side sums the gamma_ratios(lam, m_max) prefix.
     """
     _check_index(m_max, "m_max")
     return [rep for lam in lambdas for rep in _lambda_reports(lam, m_max)]

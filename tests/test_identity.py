@@ -118,9 +118,10 @@ class TestSweep:
 
 
 class TestSweepKernel:
-    """sweep carries each lam's running products from m-1 to m and hands them to
-    the left-side kernel; every report must equal the per-(lam, m) verify, which
-    rebuilds the products from scratch."""
+    """sweep carries only P_m and q^m m! from m-1 to m for the left-side kernel and
+    reads the right side off the running row gamma_ratios(2 lam, m_max); every report
+    must equal the per-(lam, m) verify, which rebuilds both sides from scratch, its
+    right side the closed form value_at_one."""
 
     @settings(max_examples=80, deadline=None)
     @given(positive_rationals, st.integers(min_value=0, max_value=60))
@@ -133,6 +134,9 @@ class TestSweepKernel:
     @example(Fraction(999, 998), 47)
     @example(Fraction(7, 3), 0)
     @example(Fraction(7, 3), 1)
+    # the running right side at large denominators, and where 2 lam reduces
+    @example(Fraction(355, 113), 300)
+    @example(Fraction(1, 4), 300)
     def test_exact_equals_verify(self, lam, m_max):
         reports = sweep([lam], m_max)
         assert reports == [verify(lam, m) for m in range(m_max + 1)]
