@@ -11,7 +11,19 @@ shortest round-tripping decimal), is also the json default, so an exact scalar
 is a quoted "p/q" string.  Results go to stdout.
 
 Exit 0 -- every check passes; exit 1 -- a mathematical check failed; exit 2 --
-a usage, domain or arithmetic error, or a non-finite float (reason on stderr).
+a usage, domain or arithmetic error, a non-finite float, or output that could not
+be written because the reader closed the pipe (reason on stderr, last line
+`Error: <reason>`).
+
+The front end is written by hand, not with click: every call is a fresh process,
+and importing click took about a quarter of each.  `OPTIONS` is the one table of
+options and `_COMMANDS` names each command's function and options.  An option is
+read as `--name value` or `--name=value`; the value is the next argument whatever
+it begins with, so `--t -2/7` reaches the library, and a repeated option keeps
+its last value.  `--help` prints the group's or a command's help.  A usage error
+is worded as click words it.  `cli()` reads `sys.argv[1:]` (the console script),
+and `cli.main(args=..., prog_name=...)` is the call `click.testing.CliRunner`
+makes.
 
 Scalar literals: `fields.parse_scalar` reads each one, and the type it returns
 is the literal's kind.  An integer (int) fits either mode, "p/q" (Fraction) is
@@ -24,11 +36,10 @@ conflict.
 from __future__ import annotations
 
 import math
+import os
 import re
 import sys
 from fractions import Fraction
-
-import click
 
 from .fields import EXACT, format_scalar, parse_scalar
 from .gegenbauer import (
@@ -130,42 +141,118 @@ def _emit(fmt: str, records: list[tuple], text=lambda rows: (row[3] for row in r
             sys.stdout.write(line + "\n")
 
 
-class _Command(click.Command):
-    """Maps domain ValueErrors and ArithmeticErrors (float overflow too) onto exit 2, with usage lines."""
+OPTIONS = {
+    "--lambda": (str, ..., "Order parameter lambda > 0."),
+    "--lambda-list": (str, ..., "Comma-separated lambda values, each lambda > 0."),
+    "--degree": (int, ..., f"Degree m, at most {M_MAX_LIMIT}."),
+    "--m-max": (int, ..., f"Largest m, at most {EXACT_M_MAX_LIMIT} exact or {M_MAX_LIMIT} float."),
+    "--order": (int, ..., f"Largest degree N: table at most {ORDER_LIMIT}, deriv-check at most "
+                          f"{M_MAX_LIMIT}."),
+    "--t": (str, ..., "Point t: any finite magnitude for eval, in [-1, 1] for deriv-check."),
+    "--r": (str, ..., "Series variable r in [0, 1)."),
+    "--route": (("composition", "recurrence"), "composition", ""),
+    "--mode": (("exact", "float"), None,
+               "Default: float if any literal is a decimal, else exact (p/q or integer)."),
+    "--format": (("text", "csv", "json"), "text", ""),
+    "--tolerance": (float, 1e-10, "Residual bound, finite and >= 0 (verify: float mode only)."),
+}
+"""The one table of options: flag -> (type, default, help).
 
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except ValueError as exc:
-            raise click.UsageError(str(exc), ctx)
-        except OverflowError as exc:
-            raise click.UsageError(f"float overflow: {exc.args[-1]}", ctx)
-        except ArithmeticError as exc:
-            raise click.UsageError(f"arithmetic defect: {exc}", ctx)
+The type is `str`, `int` or `float`, and a value is converted by calling it, or a tuple of
+choices.  A default of `...` makes the option required.
+"""
+_METAVARS = {str: "TEXT", int: "INTEGER", float: "FLOAT"}
 
 
-_lambda_option = click.option("--lambda", "lam_text", required=True, help="Order parameter lambda > 0.")
-_mode_option = click.option("--mode", type=click.Choice(["exact", "float"]), default=None,
-                            help="Default: float if any literal is a decimal, else exact (p/q or integer).")
-_format_option = click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]), default="text")
+def _parse(flags: tuple, args: list) -> list | None:
+    """The values of the options `flags`, in that order, read from `args`; None on --help."""
+    given = {}
+    while args:
+        arg = args.pop(0)
+        flag, eq, value = arg.partition("=")
+        if arg == "--help":
+            return None
+        if flag not in flags:
+            raise ValueError(f"No such option '{flag}'." if arg.startswith("-")
+                             else f"Got unexpected extra argument ({arg})")
+        if not (eq or args):
+            raise ValueError(f"Option '{flag}' requires an argument.")
+        given[flag] = value if eq else args.pop(0)
+    values = []
+    for flag in flags:
+        (kind, default, _), value = OPTIONS[flag], given.get(flag)
+        if value is None and default is ...:
+            raise ValueError(f"Missing option '{flag}'.")
+        try:  # a tuple of choices gives back its own entry, or raises ValueError
+            values.append(default if value is None else
+                          kind(value) if kind in _METAVARS else kind[kind.index(value)])
+        except ValueError:
+            what = (f"a valid {_METAVARS[kind].lower()}" if kind in _METAVARS
+                    else f"one of {', '.join(map(repr, kind))}")
+            raise ValueError(f"Invalid value for '{flag}': {value!r} is not {what}.") from None
+    return values
 
 
-@click.group()
-def cli():
+def _option_row(flag: str) -> tuple:
+    """The two help columns of an option: flag and metavar, then help, default or [required]."""
+    kind, default, text = OPTIONS[flag]
+    mark = "[required]" if default is ... else "" if default is None else f"[default: {default}]"
+    return f"{flag} {_METAVARS.get(kind) or '[' + '|'.join(kind) + ']'}", f"{text}  {mark}".strip()
+
+
+def _help(usage: str, function, flags: tuple) -> str:
+    """The help of a command, or with no `flags` the group's: usage, docstring, two-column rows."""
+    sections = {"Options": [*map(_option_row, flags), ("--help", "Show this message and exit.")]}
+    if not flags:
+        sections["Commands"] = [(name, (command.__doc__ or "").split("\n", 1)[0])
+                                for name, (command, _) in sorted(_COMMANDS.items())]
+    # a blank line, then the docstring; python -OO leaves no docstring
+    doc = ("\n" + function.__doc__.strip()).splitlines() if function.__doc__ else []
+    lines = [f"Usage: {usage}", *(f"  {line.strip()}".rstrip() for line in doc)]
+    for title, rows in sections.items():
+        width = max(len(left) for left, _ in rows) + 2
+        lines += ["", f"{title}:", *(f"  {left:<{width}}{right}".rstrip() for left, right in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def cli(args=None, prog_name=None):
     """Gegenbauer polynomial tables, evaluation, and identity checks."""
+    args = list(sys.argv[1:] if args is None else args)
+    name = args.pop(0) if args else ""
+    function, flags = _COMMANDS.get(name, (cli, ()))
+    path = (prog_name or os.path.basename(sys.argv[0])) + (f" {name}" if flags else "")
+    usage = f"{path} [OPTIONS]" if flags else f"{path} [OPTIONS] COMMAND [ARGS]..."
+    try:
+        if not (flags or name == "--help"):
+            flag = name.partition("=")[0]
+            raise ValueError(f"No such option '{flag}'." if flag.startswith("-") else
+                             f"No such command '{name}'." if name else "Missing command.")
+        values = _parse(flags, args) if flags else None
+        if values is None:
+            sys.stdout.write(_help(usage, function, flags))
+        code = 0 if values is None else function(*values)
+        sys.stdout.flush()
+    except ValueError as exc:
+        message = str(exc)
+    except OverflowError as exc:
+        message = f"float overflow: {exc.args[-1]}"
+    except ArithmeticError as exc:
+        message = f"arithmetic defect: {exc}"
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered, and the flush at exit, go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write("Error: output could not be written: the reader closed the pipe\n")
+        sys.exit(2)
+    else:
+        sys.exit(code)
+    sys.stderr.write(f"Usage: {usage}\nTry '{path} --help' for help.\n\nError: {message}\n")
+    sys.exit(2)
 
 
-cli.command_class = _Command
+cli.name = "cli"
+cli.main = cli
 
 
-@cli.command()
-@_lambda_option
-@click.option("--order", type=int, required=True,
-              help=f"Largest degree N to tabulate, at most {ORDER_LIMIT}.")
-@click.option("--route", type=click.Choice(["composition", "recurrence"]), default="composition",
-              show_default=True)
-@_mode_option
-@_format_option
 def table(lam_text, order, route, mode, fmt):
     """Print one row per degree m with the coefficients of C_m, lowest power first."""
     _check_bounds("--order", order, ORDER_LIMIT)
@@ -175,12 +262,6 @@ def table(lam_text, order, route, mode, fmt):
           lambda rows: (f"m={row[1]}: {row[3]}" for row in rows))
 
 
-@cli.command("eval")
-@_lambda_option
-@click.option("--degree", type=int, required=True, help=f"Degree m, at most {M_MAX_LIMIT}.")
-@click.option("--t", "t_text", required=True, help="Evaluation point (any finite magnitude).")
-@_mode_option
-@_format_option
 def eval_cmd(lam_text, degree, t_text, mode, fmt):
     """Evaluate C_degree at t by the three-term recurrence on values at t (no table).
 
@@ -191,11 +272,6 @@ def eval_cmd(lam_text, degree, t_text, mode, fmt):
     _emit(fmt, [(lam, degree, "eval", value_via_recurrence(lam, degree, t), None, None, "ok")])
 
 
-@cli.command("at-one")
-@_lambda_option
-@click.option("--degree", type=int, required=True, help=f"Degree m, at most {M_MAX_LIMIT}.")
-@_mode_option
-@_format_option
 def at_one(lam_text, degree, mode, fmt):
     """C_degree(1) by the closed form (2 lambda)_degree / degree!."""
     _check_bounds("--degree", degree, M_MAX_LIMIT)
@@ -203,14 +279,6 @@ def at_one(lam_text, degree, mode, fmt):
     _emit(fmt, [(lam, degree, "at-one", value_at_one(lam, degree), None, None, "ok")])
 
 
-@cli.command()
-@click.option("--lambda-list", "lam_list", required=True, help="Comma-separated lambda values.")
-@click.option("--m-max", type=int, required=True,
-              help=f"Largest m to check, at most {EXACT_M_MAX_LIMIT} exact or {M_MAX_LIMIT} float.")
-@_mode_option
-@_format_option
-@click.option("--tolerance", type=float, default=1e-10, show_default=True,
-              help="Float-mode residual bound, finite and >= 0.")
 def verify(lam_list, m_max, mode, fmt, tolerance):
     """Check the convolution identity on the (lambda, m) grid; exit 1 on any failure."""
     texts = [s for s in lam_list.split(",") if s.strip()]
@@ -227,9 +295,9 @@ def verify(lam_list, m_max, mode, fmt, tolerance):
           lambda rows: (f"lambda={lam} m={m} lhs={lhs} rhs={rhs}"
                         + (f" residual={residual}" if residual else "") + f" status={status}"
                         for lam, m, _, lhs, rhs, residual, status in rows))
-    click.echo(f"verify: {sum(passed)}/{len(reports)} checks passed", err=True)
+    print(f"verify: {sum(passed)}/{len(reports)} checks passed", file=sys.stderr)
     if not all(passed):
-        sys.exit(1)
+        return 1
 
 
 def _deriv_lines(rows):
@@ -238,15 +306,6 @@ def _deriv_lines(rows):
             f"tail_budget={budget}", f"status={status}"]
 
 
-@cli.command("deriv-check")
-@_lambda_option
-@click.option("--t", "t_text", required=True, help="Point t in [-1, 1].")
-@click.option("--r", "r_text", required=True, help="Series variable r in [0, 1).")
-@click.option("--order", type=int, required=True,
-              help=f"Truncation order N, at most {M_MAX_LIMIT}.")
-@click.option("--tolerance", type=float, default=1e-10, show_default=True,
-              help="Residual bound, finite and >= 0.")
-@_format_option
 def deriv_check(lam_text, t_text, r_text, order, tolerance, fmt):
     """Term-wise derivative vs. the closed form of d/dt of the generating function.
 
@@ -262,8 +321,22 @@ def deriv_check(lam_text, t_text, r_text, order, tolerance, fmt):
                 (lam, order, "deriv-check-budget", rep.tail_budget, None, None, "ok")],
           _deriv_lines)
     if not ok:
-        sys.exit(1)
+        return 1
+
+
+_COMMANDS = {
+    "table": (table, ("--lambda", "--order", "--route", "--mode", "--format")),
+    "eval": (eval_cmd, ("--lambda", "--degree", "--t", "--mode", "--format")),
+    "at-one": (at_one, ("--lambda", "--degree", "--mode", "--format")),
+    "verify": (verify, ("--lambda-list", "--m-max", "--mode", "--format", "--tolerance")),
+    "deriv-check": (deriv_check, ("--lambda", "--t", "--r", "--order", "--tolerance", "--format")),
+}
+"""Command name -> (function, its options in `OPTIONS`).
+
+The function takes the options' values in that order and returns 1 when a mathematical check
+fails.
+"""
 
 
 if __name__ == "__main__":
-    cli()
+    cli(prog_name="python -m gegenkit.cli")

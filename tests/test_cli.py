@@ -548,3 +548,109 @@ class TestDeterminism:
         b = subprocess.run(cmd, capture_output=True)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+
+class TestCommandLine:
+    """How arguments are read: values that begin with '-', '--name=value', repeats, --help."""
+
+    @pytest.mark.parametrize("t, want", [("-2/7", "-33/49"), ("-1e-3", "-0.999996")])
+    def test_value_beginning_with_minus_is_the_value(self, runner, t, want):
+        res = invoke(runner, "eval", "--lambda", "1", "--degree", "2", "--t", t)
+        assert (res.exit_code, res.stdout) == (0, want + "\n")
+
+    def test_negative_order_reaches_the_bounds_check(self, runner):
+        res = invoke(runner, "deriv-check", "--lambda", "1", "--t", "0.5", "--r", "0.1",
+                     "--order", "-1")
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr.splitlines()[-1] == "Error: --order must be nonnegative"
+
+    def test_name_equals_value(self, runner):
+        a = invoke(runner, "eval", "--lambda=2.5", "--degree=12", "--t", "0.3")
+        b = invoke(runner, "eval", "--lambda", "2.5", "--degree", "12", "--t", "0.3")
+        assert a.exit_code == b.exit_code == 0
+        assert a.stdout == b.stdout
+
+    def test_repeated_option_keeps_its_last_value(self, runner):
+        a = invoke(runner, "eval", "--lambda", "2.5", "--degree", "12", "--t", "0.3", "--t", "0.5")
+        b = invoke(runner, "eval", "--lambda", "2.5", "--degree", "12", "--t", "0.5")
+        assert a.exit_code == b.exit_code == 0
+        assert a.stdout == b.stdout
+
+    def test_help_after_other_options(self, runner):
+        # --help wins over the options before it, even with a required one missing
+        res = invoke(runner, "eval", "--lambda", "2.5", "--help")
+        assert (res.exit_code, res.stderr) == (0, "")
+        assert res.stdout.startswith("Usage:") and "--degree" in res.stdout
+
+    @pytest.mark.parametrize("args, message", [
+        (["table", "--lambda", "1", "--order", "2", "--bogus"], "No such option '--bogus'."),
+        (["--bogus"], "No such option '--bogus'."),
+        (["table", "--order", "2"], "Missing option '--lambda'."),
+        (["eval", "--lambda", "1", "--degree", "x", "--t", "0.5"],
+         "Invalid value for '--degree': 'x' is not a valid integer."),
+        (["verify", "--lambda-list", "1", "--m-max", "2", "--tolerance", "x"],
+         "Invalid value for '--tolerance': 'x' is not a valid float."),
+        (["frob"], "No such command 'frob'."),
+        (["table", "--lambda", "1", "--order", "2", "--format", "xml"],
+         "Invalid value for '--format': 'xml' is not one of 'text', 'csv', 'json'."),
+        (["table", "--lambda", "1", "--order", "2", "--route", "comp"],
+         "Invalid value for '--route': 'comp' is not one of 'composition', 'recurrence'."),
+        (["table", "--lambda", "1", "--order", "2", "stray"], "Got unexpected extra argument (stray)"),
+        (["table", "--lambda", "1", "--order"], "Option '--order' requires an argument."),
+        ([], "Missing command."),
+    ], ids=["option", "group-option", "missing", "integer", "float", "command", "format", "route",
+            "positional", "no-value", "no-command"])
+    def test_usage_error(self, runner, args, message):
+        res = invoke(runner, *args)
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr.splitlines()[-1] == f"Error: {message}"
+
+
+HELP_NAMES = {
+    "table": ["--lambda TEXT", "lambda > 0", "--order INTEGER", f"at most {ORDER_LIMIT}",
+              "--route [composition|recurrence]", "[default: composition]"],
+    "eval": ["--lambda TEXT", "lambda > 0", "--degree INTEGER", f"at most {M_MAX_LIMIT}",
+             "--t TEXT", "any finite magnitude"],
+    "at-one": ["--lambda TEXT", "lambda > 0", "--degree INTEGER", f"at most {M_MAX_LIMIT}"],
+    "verify": ["--lambda-list TEXT", "lambda > 0", "--m-max INTEGER",
+               f"at most {EXACT_M_MAX_LIMIT} exact or {M_MAX_LIMIT} float",
+               "--tolerance FLOAT", "[default: 1e-10]"],
+    "deriv-check": ["--lambda TEXT", "lambda > 0", "--t TEXT", "[-1, 1]", "--r TEXT", "[0, 1)",
+                    "--order INTEGER", f"at most {M_MAX_LIMIT}", "--tolerance FLOAT",
+                    "[default: 1e-10]"],
+}
+"""What each command's --help must name, besides --format, --mode where it has one, and --help."""
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", HELP_NAMES)
+    def test_command_help_names_every_option_and_domain(self, runner, command):
+        res = invoke(runner, command, "--help")
+        assert (res.exit_code, res.stderr) == (0, "")
+        names = HELP_NAMES[command] + ["--format [text|csv|json]", "[default: text]", "--help"]
+        if command != "deriv-check":
+            names.append("--mode [exact|float]")
+        assert [name for name in names if name not in res.stdout] == []
+
+    def test_group_help_gives_each_summary_in_full(self, runner):
+        res = invoke(runner, "--help")
+        assert (res.exit_code, res.stderr) == (0, "")
+        rows = [line.split(None, 1) for line in res.stdout.splitlines()]
+        for command in HELP_NAMES:
+            # the first line of the command's own description, uncut
+            summary = invoke(runner, command, "--help").stdout.splitlines()[2].strip()
+            assert [command, summary] in rows
+        assert "deriv-check  Term-wise derivative vs. the closed form of d/dt" in res.stdout
+
+
+def test_closed_pipe_is_a_named_exit_2():
+    # the reader takes 20 bytes and goes away: exit 2 with one named line, not exit 1 (a
+    # failed check), a traceback or an "Exception ignored" note
+    proc = subprocess.Popen([sys.executable, "-m", "gegenkit.cli", "table", "--lambda", "7/3",
+                             "--order", "300"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert stderr == "Error: output could not be written: the reader closed the pipe\n"

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -62,11 +63,16 @@ def test_names_the_benchmark_harness_reaches():
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports gegenkit from this checkout."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def modules_loaded_by(statement: str) -> set:
     """The names in `sys.modules` of a fresh interpreter once it has run `statement`."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     code = f"import sys\n{statement}\nprint(*sys.modules)"
-    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+    run = subprocess.run([sys.executable, "-c", code], env=child_env(),
                          capture_output=True, text=True, check=True)
     return set(run.stdout.split())
 
@@ -76,7 +82,21 @@ def test_cli_start_up_loads_only_what_commands_use():
     # csv and json load in the branch that writes their format
     loaded = modules_loaded_by("import gegenkit.cli")
     assert "gegenkit.cli" in loaded
-    assert loaded & {"dataclasses", "csv", "json", "cmath"} == set()
+    assert loaded & {"dataclasses", "csv", "json", "cmath", "click"} == set()
+
+
+def test_commands_run_without_click():
+    # a fresh interpreter in which `import click` fails runs `gegenkit.cli` as __main__ on the
+    # first golden case of each command and the first that exits 2
+    cases = json.loads((ROOT / "tests" / "cli_golden.json").read_text(encoding="utf-8"))
+    firsts = {case["args"][0]: case for case in reversed(cases)}
+    picked = [*firsts.values(), next(case for case in cases if case["exit_code"] == 2)]
+    code = ("import runpy, sys\nsys.modules['click'] = None\n"
+            "runpy.run_module('gegenkit.cli', run_name='__main__')")
+    for case in picked:
+        run = subprocess.run([sys.executable, "-c", code, *case["args"]], capture_output=True,
+                             env=child_env(), encoding="utf-8")
+        assert (run.returncode, run.stdout) == (case["exit_code"], case["stdout"]), case["args"]
 
 
 def test_library_import_does_not_load_click():
