@@ -11,7 +11,7 @@ exactly over the rationals and to tolerance over floats.
 
 Each public name is declared once, in the `__all__` of the layer that defines it;
 the package re-exports those lists.  `cli` is not imported here, so that importing
-the library does not load click.
+the library does not load the command-line front end.
 """
 
 from . import coefficients, fields, gegenbauer, identity, polynomials, series

@@ -2,15 +2,17 @@
 
 Each command hands `_emit` its records, in the seven fields
 lambda,m,check,value_or_lhs,rhs,residual,status, and the layout of its text
-lines.  `_emit` exits 2 on an inf or nan float before writing a byte, then writes
-text, csv (the seven columns under a header) or json lines (the same keys and
-values, lists as arrays).  `csv` and `json` are imported only to write their own
-format, since every call is a fresh process that pays for each import.
-`fields.format_scalar`, the one writer of scalar text ("p/q", q may be 1, or the
-shortest round-tripping decimal), is also the json default, so an exact scalar
-is a quoted "p/q" string.  Results go to stdout.
+lines, and returns the exit code `_emit` gives.  `_emit` exits 2 on an inf or
+nan float before writing a byte, then writes text, csv (the seven columns under
+a header, cells joined by ',') or json lines (the same keys and values, lists as
+arrays) in one loop.  `json` is imported only to write json, since every call is
+a fresh process that pays for each import; csv needs no module, as no cell holds
+a comma, quote or line break.  `fields.format_scalar`, the one writer of scalar
+text ("p/q", q may be 1, or the shortest round-tripping decimal), is also the
+json default, so an exact scalar is a quoted "p/q" string.  Results go to stdout.
 
-Exit 0 -- every check passes; exit 1 -- a mathematical check failed; exit 2 --
+Exit 0 -- every check passes; exit 1 -- a printed record's status is fail, that
+is a mathematical check failed (`_emit` returns it); exit 2 --
 a usage, domain or arithmetic error, a non-finite float, or output that could not
 be written because the reader closed the pipe (reason on stderr, last line
 `Error: <reason>`).
@@ -40,6 +42,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .fields import EXACT, format_scalar, parse_scalar
 from .gegenbauer import (
@@ -112,33 +115,30 @@ def _cell(value) -> str:
     return format_scalar(value)
 
 
-def _emit(fmt: str, records: list[tuple], text=lambda rows: (row[3] for row in rows)) -> None:
-    """Write `records` (tuples of FIELDS) to stdout in `fmt`, formatting one row at a time.
+def _emit(fmt: str, records: list[tuple], text=lambda rows: (row[3] for row in rows)) -> int:
+    """Write `records` (tuples of FIELDS) to stdout in `fmt`, formatting one row at a time, and
+    return the command's exit code: 1 if a record's status is fail, else 0.
 
     Raises OverflowError before any write if a float in them is inf or nan.
-    `text` maps the rows, as tuples of cells, to the lines of --format text.
+    `text` maps the rows, as tuples of cells, to the lines of --format text.  A cell is "p/q"
+    digits, a float repr, space-separated coefficients or a fixed word, so a csv line is its
+    cells joined by ',' and needs no quoting.
     """
     scalars = (v for record in records for field in record
                for v in (field if isinstance(field, tuple) else (field,)))
     if any(isinstance(v, float) and not math.isfinite(v) for v in scalars):
         raise OverflowError("result is not finite")
+    rows = ((_cell(lam), str(m), check, _cell(value), _cell(rhs), _cell(residual), status)
+            for lam, m, check, value, rhs, residual, status in records)
     if fmt == "json":
         import json
 
-        for record in records:
-            sys.stdout.write(json.dumps(dict(zip(FIELDS, record)), default=format_scalar) + "\n")
-        return
-    rows = ((_cell(lam), str(m), check, _cell(value), _cell(rhs), _cell(residual), status)
-            for lam, m, check, value, rhs, residual, status in records)
-    if fmt == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(FIELDS)
-        writer.writerows(rows)
+        lines = (json.dumps(dict(zip(FIELDS, record)), default=format_scalar) for record in records)
     else:
-        for line in text(rows):
-            sys.stdout.write(line + "\n")
+        lines = map(",".join, chain([FIELDS], rows)) if fmt == "csv" else text(rows)
+    for line in lines:
+        sys.stdout.write(line + "\n")
+    return 1 if any(record[-1] == "fail" for record in records) else 0
 
 
 OPTIONS = {
@@ -258,8 +258,9 @@ def table(lam_text, order, route, mode, fmt):
     _check_bounds("--order", order, ORDER_LIMIT)
     (lam,) = _parse_literals([lam_text], mode)
     tbl = GegenbauerTable(GegenbauerParams(lam, order), route)
-    _emit(fmt, [(lam, m, route, poly.coeffs, None, None, "ok") for m, poly in enumerate(tbl.polys)],
-          lambda rows: (f"m={row[1]}: {row[3]}" for row in rows))
+    return _emit(fmt, [(lam, m, route, poly.coeffs, None, None, "ok")
+                       for m, poly in enumerate(tbl.polys)],
+                 lambda rows: (f"m={row[1]}: {row[3]}" for row in rows))
 
 
 def eval_cmd(lam_text, degree, t_text, mode, fmt):
@@ -269,14 +270,15 @@ def eval_cmd(lam_text, degree, t_text, mode, fmt):
     """
     _check_bounds("--degree", degree, M_MAX_LIMIT)
     lam, t = _parse_literals([lam_text, t_text], mode)
-    _emit(fmt, [(lam, degree, "eval", value_via_recurrence(lam, degree, t), None, None, "ok")])
+    value = value_via_recurrence(lam, degree, t)
+    return _emit(fmt, [(lam, degree, "eval", value, None, None, "ok")])
 
 
 def at_one(lam_text, degree, mode, fmt):
     """C_degree(1) by the closed form (2 lambda)_degree / degree!."""
     _check_bounds("--degree", degree, M_MAX_LIMIT)
     (lam,) = _parse_literals([lam_text], mode)
-    _emit(fmt, [(lam, degree, "at-one", value_at_one(lam, degree), None, None, "ok")])
+    return _emit(fmt, [(lam, degree, "at-one", value_at_one(lam, degree), None, None, "ok")])
 
 
 def verify(lam_list, m_max, mode, fmt, tolerance):
@@ -290,14 +292,13 @@ def verify(lam_list, m_max, mode, fmt, tolerance):
     _check_bounds("--m-max", m_max, limit, tolerance, scope)
     reports = sweep(lambdas, m_max)
     passed = [rep.passed(tolerance) for rep in reports]
-    _emit(fmt, [(rep.lam, rep.m, "verify", rep.lhs, rep.rhs, rep.residual, "pass" if ok else "fail")
-                for rep, ok in zip(reports, passed)],
-          lambda rows: (f"lambda={lam} m={m} lhs={lhs} rhs={rhs}"
-                        + (f" residual={residual}" if residual else "") + f" status={status}"
-                        for lam, m, _, lhs, rhs, residual, status in rows))
+    code = _emit(fmt, [(rep.lam, rep.m, "verify", rep.lhs, rep.rhs, rep.residual,
+                        "pass" if ok else "fail") for rep, ok in zip(reports, passed)],
+                 lambda rows: (f"lambda={lam} m={m} lhs={lhs} rhs={rhs}"
+                               + (f" residual={residual}" if residual else "") + f" status={status}"
+                               for lam, m, _, lhs, rhs, residual, status in rows))
     print(f"verify: {sum(passed)}/{len(reports)} checks passed", file=sys.stderr)
-    if not all(passed):
-        return 1
+    return code
 
 
 def _deriv_lines(rows):
@@ -315,13 +316,10 @@ def deriv_check(lam_text, t_text, r_text, order, tolerance, fmt):
     _check_bounds("--order", order, M_MAX_LIMIT, tolerance)
     lam, t, r = _parse_literals([lam_text, t_text, r_text], "float")
     rep = derivative_interchange_check(lam, t, r, order)
-    ok = rep.residual <= tolerance
-    _emit(fmt, [(lam, order, "deriv-check", rep.closed_form, rep.partial_sum, rep.residual,
-                 "pass" if ok else "fail"),
-                (lam, order, "deriv-check-budget", rep.tail_budget, None, None, "ok")],
-          _deriv_lines)
-    if not ok:
-        return 1
+    return _emit(fmt, [(lam, order, "deriv-check", rep.closed_form, rep.partial_sum, rep.residual,
+                        "pass" if rep.residual <= tolerance else "fail"),
+                       (lam, order, "deriv-check-budget", rep.tail_budget, None, None, "ok")],
+                 _deriv_lines)
 
 
 _COMMANDS = {
@@ -333,8 +331,8 @@ _COMMANDS = {
 }
 """Command name -> (function, its options in `OPTIONS`).
 
-The function takes the options' values in that order and returns 1 when a mathematical check
-fails.
+The function takes the options' values in that order and returns the exit code of `_emit`: 1
+when a record it printed has status fail, that is a mathematical check failed, else 0.
 """
 
 

@@ -33,7 +33,7 @@ import enum
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, count, islice
+from itertools import count, islice
 from math import cos, factorial, gcd, inf, isfinite, lcm, sin
 from typing import NamedTuple
 
@@ -157,11 +157,11 @@ def table_via_composition(params: GegenbauerParams) -> GegenbauerTable:
 
 def _composition_rows(lam: Fraction, n: int) -> list:
     """The rows of C_0, ..., C_n, lam exact: `compose_inner_polynomial` over the outer
-    coefficients C(-lam, j), j <= n, reduced Fractions stepped as
-    c_{j+1} = -c_j (lam + j) / (j + 1) from c_0 = 1.  Each entry is one c_j times an
-    integer, so it is reduced against the denominator of c_j alone."""
-    return compose_inner_polynomial(list(accumulate(
-        range(n), lambda c, j: -c * (lam + j) / (j + 1), initial=Fraction(1))))
+    coefficients C(-lam, j) = (-1)^j (lam)_j / j!, j <= n, the reduced running products of
+    `gamma_ratios(lam, n)` with alternating signs.  Each entry is one C(-lam, j) times an
+    integer, so it is reduced against the denominator of C(-lam, j) alone."""
+    ratios = gamma_ratios(lam, n)
+    return compose_inner_polynomial([-c if j % 2 else c for j, c in enumerate(ratios)])
 
 
 def _next_row(a, b, row: list, older: list, zero) -> list:

@@ -7,12 +7,13 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from gegenkit import identity
-from gegenkit.cli import EXACT_M_MAX_LIMIT, M_MAX_LIMIT, ORDER_LIMIT, cli
+from gegenkit.cli import EXACT_M_MAX_LIMIT, FIELDS, M_MAX_LIMIT, ORDER_LIMIT, cli
 
 from oracles import explicit_value, pochhammer
 
@@ -530,6 +531,64 @@ class TestFormatsAgree:
             for value in rec.values():
                 assert value is None or isinstance(value, str) or (
                     isinstance(value, list) and all(isinstance(v, str) for v in value))
+
+
+GOLDEN_CSV = [case["args"] for case in
+              json.loads(Path(__file__).with_name("cli_golden.json").read_text(encoding="utf-8"))
+              if ("--format", "csv") in zip(case["args"], case["args"][1:])]
+
+
+def csv_cells(line):
+    """The cells of one csv line as the csv module reads them."""
+    return next(csv.reader([line]))
+
+
+class TestCsvNeedsNoQuoting:
+    """A csv line is its seven cells joined by ',': no cell holds a comma, quote or line break."""
+
+    @pytest.mark.parametrize("args", GOLDEN_CSV, ids=" ".join)
+    def test_golden_csv_lines_are_their_cells_joined(self, runner, args):
+        lines = invoke(runner, *args).stdout.splitlines()
+        assert lines[0] == ",".join(FIELDS) and len(lines) > 1
+        for line in lines:
+            cells = csv_cells(line)
+            assert len(cells) == len(FIELDS) and ",".join(cells) == line
+
+    def test_digits_past_the_int_str_cap(self):
+        # past the lowered cap the digits are written through Decimal
+        cmd = [sys.executable, "-X", "int_max_str_digits=640", "-m", "gegenkit.cli", "at-one",
+               "--lambda", "108/29", "--degree", "3000", "--format", "csv"]
+        run = subprocess.run(cmd, capture_output=True, encoding="utf-8", timeout=60)
+        assert run.returncode == 0
+        header, line = run.stdout.splitlines()
+        cells = csv_cells(line)
+        assert header == ",".join(FIELDS) and len(cells[3].partition("/")[0]) > 640
+        assert len(cells) == len(FIELDS) and ",".join(cells) == line
+
+
+def printed_statuses(stdout, fmt):
+    """The status of each record a command printed in `fmt` (text shows it as status=...)."""
+    if fmt == "json":
+        return [record["status"] for record in parse_jsonl(stdout)]
+    if fmt == "csv":
+        return [row["status"] for row in parse_csv(stdout)]
+    return [word.split("=", 1)[1] for line in stdout.splitlines() for word in line.split()
+            if word.startswith("status=")]
+
+
+class TestExitCodeFollowsStatuses:
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("args, code", [
+        (("verify", "--lambda-list", "3.7", "--m-max", "40", "--tolerance", "1e-18"), 1),
+        (("verify", "--lambda-list", "0.5,2.5", "--m-max", "10"), 0),
+        (("deriv-check", "--lambda", "2", "--t", "-0.5", "--r", "0.3", "--order", "0"), 1),
+        (("deriv-check", "--lambda", "1.5", "--t", "0.5", "--r", "0.4", "--order", "30"), 0),
+    ], ids=["verify-fails", "verify-passes", "deriv-check-fails", "deriv-check-passes"])
+    def test_exit_1_exactly_when_a_printed_status_is_fail(self, runner, args, code, fmt):
+        res = invoke(runner, *args, "--format", fmt)
+        statuses = printed_statuses(res.stdout, fmt)
+        assert res.exit_code == code
+        assert statuses and ("fail" in statuses) == (code == 1)
 
 
 class TestDeterminism:

@@ -79,7 +79,7 @@ def modules_loaded_by(statement: str) -> set:
 
 def test_cli_start_up_loads_only_what_commands_use():
     # every command runs in a fresh process, so each module loaded here is paid on every call;
-    # csv and json load in the branch that writes their format
+    # json loads only in the branch that writes json, and csv output needs no module
     loaded = modules_loaded_by("import gegenkit.cli")
     assert "gegenkit.cli" in loaded
     assert loaded & {"dataclasses", "csv", "json", "cmath", "click"} == set()
@@ -99,9 +99,24 @@ def test_commands_run_without_click():
         assert (run.returncode, run.stdout) == (case["exit_code"], case["stdout"]), case["args"]
 
 
+def test_csv_runs_import_no_csv():
+    # a fresh interpreter in which `import csv` fails runs `gegenkit.cli` as __main__ on every
+    # golden --format csv case: a csv line is its cells joined by ','
+    cases = json.loads((ROOT / "tests" / "cli_golden.json").read_text(encoding="utf-8"))
+    code = ("import runpy, sys\nsys.modules['csv'] = sys.modules['_csv'] = None\n"
+            "runpy.run_module('gegenkit.cli', run_name='__main__')")
+    picked = [case for case in cases if ("--format", "csv") in zip(case["args"], case["args"][1:])]
+    assert len(picked) >= 10
+    for case in picked:
+        run = subprocess.run([sys.executable, "-c", code, *case["args"]], capture_output=True,
+                             env=child_env(), encoding="utf-8")
+        assert (run.returncode, run.stdout) == (case["exit_code"], case["stdout"]), case["args"]
+
+
 def test_library_import_does_not_load_click():
     loaded = modules_loaded_by("import gegenkit")
     assert "gegenkit.identity" in loaded and "click" not in loaded
+    assert "gegenkit.cli" not in loaded
 
 
 SOURCES = sorted((ROOT / "src" / "gegenkit").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
