@@ -11,8 +11,10 @@ routes:
 * recurrence   -- C_0 = 1, C_1 = 2 lam t,
   m C_m = 2 t (m + lam - 1) C_{m-1} - (m + 2 lam - 2) C_{m-2};
   works over exact rationals or floats.  Exact mode (lam = p/q) carries
-  each row in integers as R_m / d_m, divided by the gcd of d_m and the row,
-  and reduces each coefficient once against that d_m.
+  each row in integers as R_m / d_m, divided by the gcd of d_m and the row.
+  One gcd per row reduces the leading coefficient; the others are stepped
+  down by the Gegenbauer differential equation, each step checked on R_m,
+  so every exact row is proven to be C_m (`_certified_rows`).
   `value_via_recurrence` runs the same recurrence on values at one t, in
   O(m) steps and with no table (exact t = u/v: in integers, one reduction).
   Float `eval`, float tables' `evaluate` and the derivative check use it;
@@ -125,8 +127,7 @@ class GegenbauerTable(namedtuple("GegenbauerTable", "params route")):
         elif self.route is Route.COMPOSITION:
             rows = _composition_rows(lam, n)
         else:
-            rows = ([Fraction(c, d) if c else EXACT.zero for c in row]
-                    for row, d in islice(_exact_rows(lam.numerator, lam.denominator), n + 1))
+            rows = _certified_rows(lam.numerator, lam.denominator, n)
         return tuple(Polynomial(tuple(row)) for row in rows)
 
     def evaluate(self, m: int, t):
@@ -196,7 +197,7 @@ def _exact_rows(p: int, q: int):
     From (C_-1, C_0) = (0, 1), with L = lcm(d_{m-1}, d_{m-2}) and (a_m, b_m) from
     `_exact_steps`, row m is a_m (L / d_{m-1}) t R_{m-1} - b_m (L / d_{m-2}) R_{m-2}
     over m q L, and both are divided by their gcd.  So each row is carried reduced, and
-    the per-coefficient reduction R_m[j] / d_m works on numbers no larger than it needs.
+    the one gcd per row, of R_m[m] and d_m in `_certified_rows`, is no larger than it needs.
     """
     older, d_older, row, d = [0], 1, [1], 1
     for m, (a, b) in enumerate(_exact_steps(p, q), 1):
@@ -206,6 +207,34 @@ def _exact_rows(p: int, q: int):
         den = m * q * common
         g = gcd(den, *new)
         older, d_older, row, d = row, d, [x // g for x in new], den // g
+
+
+def _certified_rows(p: int, q: int, n: int):
+    """Rows 0..n of `_exact_rows` as Fractions, each proven to be C_m by the
+    Gegenbauer equation (DLMF 18.8, Table 18.8.1).
+
+    Only c = R_m[m] / d_m is reduced by a gcd; it must equal `lead`, c_{0,0} = 1 stepped
+    as c_{m,m} = c_{m-1,m-1} 2(p + (m-1) q) / (m q), which fixes the scale.  Each c_k,
+    k = m-2, m-4, ..., is then c_{k+2} A / B, A = q (k+2)(k+1), B = (k-m)(q (k+m) + 2p),
+    once the integers pass A R_m[k+2] == B R_m[k]: so c_k = R_m[k] / d_m, in lowest terms.
+    The entries of the other parity are zero.  A failed check raises ArithmeticError
+    naming m and k.
+    """
+    lead = Fraction(1)
+    for m, (row, d) in enumerate(islice(_exact_rows(p, q), n + 1)):
+        c = Fraction(row[m], d)
+        if c != lead:
+            raise ArithmeticError(f"exact recurrence row {m}: leading coefficient of t^{m} is off")
+        lead = c * Fraction(2 * (p + m * q), (m + 1) * q)
+        out = [EXACT.zero] * (m + 1)
+        out[m] = c
+        for k in range(m - 2, -1, -2):
+            a, b = q * (k + 2) * (k + 1), (k - m) * (q * (k + m) + 2 * p)
+            if a * row[k + 2] != b * row[k]:
+                raise ArithmeticError(f"exact recurrence row {m} fails the Gegenbauer equation "
+                                      f"at t^{k}")
+            out[k] = c = c * Fraction(a, b)
+        yield out
 
 
 def _exact_steps(p: int, q: int):
@@ -219,8 +248,10 @@ def table_via_recurrence(params: GegenbauerParams) -> GegenbauerTable:
     """Three-term recurrence in either field; validated elsewhere against composition.
 
     Exact lam = p/q runs in integers on rows C_m = R_m / d_m kept with
-    gcd(d_m, *R_m) = 1 (`_exact_rows`, on the steps of `_exact_steps`), and
-    reduces each nonzero coefficient once, as R_m[j] / d_m.  Float mode runs
+    gcd(d_m, *R_m) = 1 (`_exact_rows`, on the steps of `_exact_steps`).  It reduces
+    only R_m[m] / d_m by a gcd and steps the rest down by the Gegenbauer equation, each
+    step checked in integers; a row that fails a check raises ArithmeticError
+    (`_certified_rows`).  Float mode runs
     m C_m = 2 t (m + lam - 1) C_{m-1} - (m + 2 lam - 2) C_{m-2}.
     Both touch only the entries of the parity of m; float rows wait for a read of `polys`.
     """

@@ -16,6 +16,7 @@ from gegenkit import identity
 from gegenkit.cli import EXACT_M_MAX_LIMIT, FIELDS, M_MAX_LIMIT, ORDER_LIMIT, cli
 
 from oracles import explicit_value, pochhammer
+from test_gegenbauer import corrupt_exact_row
 
 
 @pytest.fixture()
@@ -75,6 +76,15 @@ class TestTable:
         res = invoke(runner, "table", "--lambda", "0.5", "--order", "2", "--route", "recurrence")
         assert res.exit_code == 0
         assert res.output.splitlines()[1] == "m=1: 0.0 1.0"
+
+    def test_corrupt_recurrence_row_is_our_defect(self, runner, monkeypatch):
+        # a wrong row fails its Gegenbauer-equation check before any row is written
+        corrupt_exact_row(monkeypatch, 5, lambda row, d: ([*row[:3], row[3] + 1, *row[4:]], d))
+        res = invoke(runner, "table", "--lambda", "17/7", "--order", "8", "--route", "recurrence")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines()[-1] == (
+            "Error: arithmetic defect: exact recurrence row 5 fails the Gegenbauer equation at t^3")
 
     def test_routes_agree_in_exact_mode(self, runner):
         a = invoke(runner, "table", "--lambda", "7/3", "--order", "6", "--route", "composition")

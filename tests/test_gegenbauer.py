@@ -297,6 +297,27 @@ def generic_float_recurrence(lam: float, n: int) -> list:
     return rows
 
 
+def assert_recurrence_rows_reduced(lam: Fraction, n: int):
+    """The exact recurrence table holds R_m[j] / d_m of `_exact_rows`, each reduced on its own,
+    entry for entry, type for type and in lowest terms."""
+    rows = islice(gegenbauer._exact_rows(lam.numerator, lam.denominator), n + 1)
+    want = [[Fraction(c, d) if c else EXACT.zero for c in row] for row, d in rows]
+    got = [list(p.coeffs) for p in table_via_recurrence(GegenbauerParams(lam, n)).polys]
+    assert [[(type(c), c.numerator, c.denominator) for c in row] for row in got] == [
+        [(type(c), c.numerator, c.denominator) for c in row] for row in want]
+
+
+def corrupt_exact_row(monkeypatch, m: int, change):
+    """Makes `gegenbauer._exact_rows` yield `change(row, d)` in place of its row m."""
+    rows = gegenbauer._exact_rows
+
+    def corrupted(p, q):
+        for j, (row, d) in enumerate(rows(p, q)):
+            yield change(list(row), d) if j == m else (row, d)
+
+    monkeypatch.setattr(gegenbauer, "_exact_rows", corrupted)
+
+
 class TestRecurrenceKernels:
     """The exact branch runs in integers on rows R_m / d_m kept primitive; the float branch is
     the generic loop restricted to the entries of the parity of m, and keeps its bits."""
@@ -320,6 +341,31 @@ class TestRecurrenceKernels:
         for m, (row, d) in enumerate(rows):
             assert len(row) == m + 1 and d > 0 and math.gcd(d, *row) == 1
             assert math.lcm(*(Fraction(c, d).denominator for c in row)) == d
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.builds(Fraction, st.integers(1, 999), st.integers(1, 999)),
+           st.integers(min_value=0, max_value=200))
+    def test_rows_are_the_recurrence_rows_reduced(self, lam, n):
+        assert_recurrence_rows_reduced(lam, n)
+
+    @pytest.mark.parametrize("lam, n", [(Fraction(3), 200), (Fraction(1, 1000), 200),
+                                        (Fraction(251, 185), 400)], ids=str)
+    def test_rows_are_the_recurrence_rows_reduced_at(self, lam, n):
+        assert_recurrence_rows_reduced(lam, n)
+
+    @pytest.mark.parametrize("k", [9, 7, 1])
+    def test_entry_off_by_one_is_named(self, monkeypatch, k):
+        # the leading entry fails the scale check, every other one the Gegenbauer equation
+        corrupt_exact_row(monkeypatch, 9, lambda row, d: ([*row[:k], row[k] + 1, *row[k + 1:]], d))
+        with pytest.raises(ArithmeticError, match=rf"row 9\b.*\bt\^{k}\b"):
+            table_via_recurrence(GegenbauerParams(Fraction(17, 7), 12))
+
+    @pytest.mark.parametrize("m", [0, 1, 9])
+    def test_doubled_denominator_fails_the_scale_check(self, monkeypatch, m):
+        # every ratio R[k+2] / R[k] is unchanged, so only the leading coefficient can tell
+        corrupt_exact_row(monkeypatch, m, lambda row, d: (row, 2 * d))
+        with pytest.raises(ArithmeticError, match=rf"row {m}: leading coefficient of t\^{m}\b"):
+            table_via_recurrence(GegenbauerParams(Fraction(17, 7), 12))
 
     def test_exact_equals_composition_at_high_degree(self):
         # 251/185: a three-digit denominator, so C(-lam, j) has wide denominators
