@@ -11,10 +11,13 @@ routes:
 * recurrence   -- C_0 = 1, C_1 = 2 lam t,
   m C_m = 2 t (m + lam - 1) C_{m-1} - (m + 2 lam - 2) C_{m-2};
   works over exact rationals or floats.  Exact mode (lam = p/q) carries
-  each row in integers as R_m / d_m, divided by the gcd of d_m and the row.
-  One gcd per row reduces the leading coefficient; the others are stepped
-  down by the Gegenbauer differential equation, each step checked on R_m,
-  so every exact row is proven to be C_m (`_certified_rows`).
+  each row in integers as R_m / d_m, divided by the gcd of d_m and the row;
+  that gcd starts at the leading entry, which makes it small at once, so the
+  rest is big-mod-small.  One gcd per row reduces the leading coefficient; the
+  others are stepped down in integers by the Gegenbauer differential equation's
+  small ratios, each step checked on R_m and cross-cancelled as Fraction
+  multiplies, so each entry is one Fraction built in lowest terms and every
+  exact row is proven to be C_m (`_certified_rows`).
   `value_via_recurrence` runs the same recurrence on values at one t, in
   O(m) steps and with no table (exact t = u/v: in integers, one reduction).
   Float `eval`, float tables' `evaluate` and the derivative check use it;
@@ -34,7 +37,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import count, islice
 from math import cos, factorial, gcd, inf, isfinite, lcm, sin
 from typing import NamedTuple
@@ -60,6 +63,10 @@ __all__ = [
 ]
 
 _IMAG_TOLERANCE = 1e-10
+
+# Fraction(n, d) built with no gcd, for n / d in lowest terms with d > 0 only: the
+# classmethod on CPython >= 3.12, the unnormalized constructor on 3.10 and 3.11
+_coprime = getattr(Fraction, "_from_coprime_ints", None) or partial(Fraction, _normalize=False)
 
 
 class Route(enum.Enum):
@@ -198,6 +205,9 @@ def _exact_rows(p: int, q: int):
     `_exact_steps`, row m is a_m (L / d_{m-1}) t R_{m-1} - b_m (L / d_{m-2}) R_{m-2}
     over m q L, and both are divided by their gcd.  So each row is carried reduced, and
     the one gcd per row, of R_m[m] and d_m in `_certified_rows`, is no larger than it needs.
+    The row gcd starts at the leading entry: gcd(m q L, R_m[m]) comes out small at once (at
+    most 9 bits at 17/7 and N <= 300, against 986 bits of m q L), so every later gcd is
+    big-mod-small.  Its value, and so the row, is the same as from any other order.
     """
     older, d_older, row, d = [0], 1, [1], 1
     for m, (a, b) in enumerate(_exact_steps(p, q), 1):
@@ -205,7 +215,7 @@ def _exact_rows(p: int, q: int):
         common = lcm(d, d_older)
         new = _next_row(a * (common // d), b * (common // d_older), row, older, 0)
         den = m * q * common
-        g = gcd(den, *new)
+        g = gcd(new[m], den, *new)
         older, d_older, row, d = row, d, [x // g for x in new], den // g
 
 
@@ -219,6 +229,12 @@ def _certified_rows(p: int, q: int, n: int):
     once the integers pass A R_m[k+2] == B R_m[k]: so c_k = R_m[k] / d_m, in lowest terms.
     The entries of the other parity are zero.  A failed check raises ArithmeticError
     naming m and k.
+
+    c_k is carried as num / den in lowest terms, den > 0.  A / B is reduced by gcd(A, B)
+    to a / b with b = |B| / g > 0 (B < 0 for k < m, so the sign moves to a), and the
+    product is cross-cancelled by gcd(num, b) and gcd(a, den), as Fraction multiplies: with
+    num / den and a / b each in lowest terms, the result is too, so each entry is built once
+    by `_coprime`, whose precondition is exactly that (lowest terms, denominator > 0).
     """
     lead = Fraction(1)
     for m, (row, d) in enumerate(islice(_exact_rows(p, q), n + 1)):
@@ -228,12 +244,17 @@ def _certified_rows(p: int, q: int, n: int):
         lead = c * Fraction(2 * (p + m * q), (m + 1) * q)
         out = [EXACT.zero] * (m + 1)
         out[m] = c
+        num, den = c.numerator, c.denominator
         for k in range(m - 2, -1, -2):
             a, b = q * (k + 2) * (k + 1), (k - m) * (q * (k + m) + 2 * p)
             if a * row[k + 2] != b * row[k]:
                 raise ArithmeticError(f"exact recurrence row {m} fails the Gegenbauer equation "
                                       f"at t^{k}")
-            out[k] = c = c * Fraction(a, b)
+            g = gcd(a, b)
+            a, b = -a // g, -b // g
+            g1, g2 = gcd(num, b), gcd(a, den)
+            num, den = (num // g1) * (a // g2), (den // g2) * (b // g1)
+            out[k] = _coprime(num, den)
         yield out
 
 

@@ -348,10 +348,20 @@ class TestRecurrenceKernels:
     def test_rows_are_the_recurrence_rows_reduced(self, lam, n):
         assert_recurrence_rows_reduced(lam, n)
 
+    # 1/2: q = 2 divides every A = q (k+2)(k+1) and every B, so each ratio A / B is reducible
     @pytest.mark.parametrize("lam, n", [(Fraction(3), 200), (Fraction(1, 1000), 200),
-                                        (Fraction(251, 185), 400)], ids=str)
+                                        (Fraction(251, 185), 400), (Fraction(1, 2), 400)],
+                             ids=str)
     def test_rows_are_the_recurrence_rows_reduced_at(self, lam, n):
         assert_recurrence_rows_reduced(lam, n)
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (-1, 1), (3, 7), (-22, 15), (2**89 - 1, 3**40),
+                                      (-(5**50), 2**70)], ids=str)
+    def test_coprime_is_the_reduced_fraction(self, n, d):
+        # whichever constructor this interpreter has, it builds the Fraction n / d as it stands
+        got = gegenbauer._coprime(n, d)
+        assert type(got) is Fraction and (got.numerator, got.denominator) == (n, d)
+        assert got == Fraction(n, d) and hash(got) == hash(Fraction(n, d))
 
     @pytest.mark.parametrize("k", [9, 7, 1])
     def test_entry_off_by_one_is_named(self, monkeypatch, k):
