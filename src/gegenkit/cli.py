@@ -66,8 +66,8 @@ EXACT_M_MAX_LIMIT = 1_500
 one lambda = 7/3 and 2 s for 355/113."""
 ORDER_LIMIT = 1_000
 """Largest `table --order`, on either route: a table of O(N^2) entries, each one product on the
-composition route.  End to end at lam = 17/7 and N = 1000 the table takes about 10 s on the
-composition route and 7 s on the recurrence route.
+composition route.  End to end at lam = 17/7 and N = 1000 the table takes about 7 s on the
+composition route and 6 s on the recurrence route.
 """
 
 FIELDS = ("lambda", "m", "check", "value_or_lhs", "rhs", "residual", "status")

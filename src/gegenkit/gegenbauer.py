@@ -10,18 +10,18 @@ routes:
   integer: no common scale, and no sum.
 * recurrence   -- C_0 = 1, C_1 = 2 lam t,
   m C_m = 2 t (m + lam - 1) C_{m-1} - (m + 2 lam - 2) C_{m-2};
-  works over exact rationals or floats.  Exact mode (lam = p/q) carries
-  each row in integers as R_m / d_m, divided by the gcd of d_m and the row;
-  that gcd starts at the leading entry, which makes it small at once, so the
-  rest is big-mod-small.  One gcd per row reduces the leading coefficient; the
-  others are stepped down in integers by the Gegenbauer differential equation's
-  small ratios, each step checked on R_m and cross-cancelled as Fraction
-  multiplies, so each entry is one Fraction built in lowest terms and every
-  exact row is proven to be C_m (`_certified_rows`).
-  `value_via_recurrence` runs the same recurrence on values at one t, in
-  O(m) steps and with no table (exact t = u/v: in integers, one reduction).
-  Float `eval`, float tables' `evaluate` and the derivative check use it;
-  the derivative comes from d/dt C_m^lam = 2 lam C_{m-1}^{lam+1}.
+  works over exact rationals or floats.  Exact mode (lam = p/q) runs in
+  integers at one fixed scale, E_m = q^m m! C_m, on the steps of
+  `_exact_steps`: no lcm, no gcd and no division per row.  The leading
+  coefficient is checked against its closed-form step by cross-multiplying;
+  the others are stepped down in integers by the Gegenbauer differential
+  equation's small ratios, each step checked on E_m and cross-cancelled as
+  Fraction multiplies, so each entry is one Fraction built in lowest terms and
+  every exact row is proven to be C_m (`_certified_rows`).
+  `value_via_recurrence` runs the same steps on values at one t, in O(m)
+  steps and with no table (exact t = u/v: at the scale (q v)^m m!, one
+  reduction).  Float `eval`, float tables' `evaluate` and the derivative check
+  use it; the derivative comes from d/dt C_m^lam = 2 lam C_{m-1}^{lam+1}.
 * conjugate product -- write t = cos(phi), factor the generating function as
   [(1 - r e^{i phi})(1 - r e^{-i phi})]^(-lam) and convolve the two binomial
   expansions, giving C_m(cos phi) as a finite complex sum whose imaginary
@@ -39,7 +39,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import count, islice
-from math import cos, factorial, gcd, inf, isfinite, lcm, sin
+from math import cos, factorial, gcd, inf, isfinite, sin
 from typing import NamedTuple
 
 from .coefficients import _check_index, check_lambda, gamma_ratio_coefficient, gamma_ratios
@@ -198,37 +198,25 @@ def _float_rows(lam: float):
 
 
 def _exact_rows(p: int, q: int):
-    """(R_m, d_m) for m = 0, 1, ...: C_m = R_m / d_m in integers, lam = p/q, with
-    gcd(d_m, *R_m) = 1, so d_m is the lcm of the reduced denominators of row m.
-
-    From (C_-1, C_0) = (0, 1), with L = lcm(d_{m-1}, d_{m-2}) and (a_m, b_m) from
-    `_exact_steps`, row m is a_m (L / d_{m-1}) t R_{m-1} - b_m (L / d_{m-2}) R_{m-2}
-    over m q L, and both are divided by their gcd.  So each row is carried reduced, and
-    the one gcd per row, of R_m[m] and d_m in `_certified_rows`, is no larger than it needs.
-    The row gcd starts at the leading entry: gcd(m q L, R_m[m]) comes out small at once (at
-    most 9 bits at 17/7 and N <= 300, against 986 bits of m q L), so every later gcd is
-    big-mod-small.  Its value, and so the row, is the same as from any other order.
-    """
-    older, d_older, row, d = [0], 1, [1], 1
+    """(E_m, s_m) for m = 0, 1, ...: C_m = E_m / s_m in integers, lam = p/q, at the one
+    fixed scale s_m = q^m m!.  From (E_-1, E_0) = (0, 1), row m is
+    a_m t E_{m-1} - b_m E_{m-2} with (a_m, b_m) from `_exact_steps`."""
+    older, row, s = [0], [1], 1
     for m, (a, b) in enumerate(_exact_steps(p, q), 1):
-        yield row, d
-        common = lcm(d, d_older)
-        new = _next_row(a * (common // d), b * (common // d_older), row, older, 0)
-        den = m * q * common
-        g = gcd(new[m], den, *new)
-        older, d_older, row, d = row, d, [x // g for x in new], den // g
+        yield row, s
+        older, row, s = row, _next_row(a, b, row, older, 0), s * m * q
 
 
 def _certified_rows(p: int, q: int, n: int):
     """Rows 0..n of `_exact_rows` as Fractions, each proven to be C_m by the
     Gegenbauer equation (DLMF 18.8, Table 18.8.1).
 
-    Only c = R_m[m] / d_m is reduced by a gcd; it must equal `lead`, c_{0,0} = 1 stepped
-    as c_{m,m} = c_{m-1,m-1} 2(p + (m-1) q) / (m q), which fixes the scale.  Each c_k,
-    k = m-2, m-4, ..., is then c_{k+2} A / B, A = q (k+2)(k+1), B = (k-m)(q (k+m) + 2p),
-    once the integers pass A R_m[k+2] == B R_m[k]: so c_k = R_m[k] / d_m, in lowest terms.
-    The entries of the other parity are zero.  A failed check raises ArithmeticError
-    naming m and k.
+    The leading coefficient c = E_m[m] / s_m must equal `lead`, c_{0,0} = 1 stepped as
+    c_{m,m} = c_{m-1,m-1} 2(p + (m-1) q) / (m q), which fixes the scale; it is checked by
+    cross-multiplying, so no gcd runs against s_m.  Each c_k, k = m-2, m-4, ..., is then
+    c_{k+2} A / B, A = q (k+2)(k+1), B = (k-m)(q (k+m) + 2p), once the integers pass
+    A E_m[k+2] == B E_m[k]: so c_k = E_m[k] / s_m, in lowest terms.  The entries of the
+    other parity are zero.  A failed check raises ArithmeticError naming m and k.
 
     c_k is carried as num / den in lowest terms, den > 0.  A / B is reduced by gcd(A, B)
     to a / b with b = |B| / g > 0 (B < 0 for k < m, so the sign moves to a), and the
@@ -237,9 +225,9 @@ def _certified_rows(p: int, q: int, n: int):
     by `_coprime`, whose precondition is exactly that (lowest terms, denominator > 0).
     """
     lead = Fraction(1)
-    for m, (row, d) in enumerate(islice(_exact_rows(p, q), n + 1)):
-        c = Fraction(row[m], d)
-        if c != lead:
+    for m, (row, s) in enumerate(islice(_exact_rows(p, q), n + 1)):
+        c = lead
+        if row[m] * c.denominator != c.numerator * s:
             raise ArithmeticError(f"exact recurrence row {m}: leading coefficient of t^{m} is off")
         lead = c * Fraction(2 * (p + m * q), (m + 1) * q)
         out = [EXACT.zero] * (m + 1)
@@ -259,19 +247,20 @@ def _certified_rows(p: int, q: int, n: int):
 
 
 def _exact_steps(p: int, q: int):
-    """(a_k, b_k), k >= 1, of k q C_k = a_k t C_{k-1} - b_k C_{k-2}, lam = p/q (DLMF 18.9.1):
-    the recurrence on C_k itself, which C_-1 = 0, C_0 = 1 start."""
+    """(a_k, b_k), k >= 1, of E_k = a_k t E_{k-1} - b_k E_{k-2} on E_k = q^k k! C_k,
+    lam = p/q: DLMF 18.9.1, k q C_k = 2((k-1) q + p) t C_{k-1} - ((k-2) q + 2p) C_{k-2},
+    times q^(k-1) (k-1)!.  E_-1 = 0, E_0 = 1 start it."""
     for k in count(1):
-        yield 2 * ((k - 1) * q + p), (k - 2) * q + 2 * p
+        yield 2 * ((k - 1) * q + p), (k - 1) * q * ((k - 2) * q + 2 * p)
 
 
 def table_via_recurrence(params: GegenbauerParams) -> GegenbauerTable:
     """Three-term recurrence in either field; validated elsewhere against composition.
 
-    Exact lam = p/q runs in integers on rows C_m = R_m / d_m kept with
-    gcd(d_m, *R_m) = 1 (`_exact_rows`, on the steps of `_exact_steps`).  It reduces
-    only R_m[m] / d_m by a gcd and steps the rest down by the Gegenbauer equation, each
-    step checked in integers; a row that fails a check raises ArithmeticError
+    Exact lam = p/q runs in integers on rows C_m = E_m / s_m at the one scale
+    s_m = q^m m! (`_exact_rows`, on the steps of `_exact_steps`).  It checks the leading
+    coefficient by cross-multiplying and steps the rest down by the Gegenbauer equation,
+    each step checked in integers; a row that fails a check raises ArithmeticError
     (`_certified_rows`).  Float mode runs
     m C_m = 2 t (m + lam - 1) C_{m-1} - (m + 2 lam - 2) C_{m-2}.
     Both touch only the entries of the parity of m; float rows wait for a read of `polys`.
@@ -293,8 +282,9 @@ def value_via_recurrence(lam, m: int, t):
 
     A float lam runs in float.  An exact lam = p/q with t = u/v (t is taken
     exactly, as a table of that lam would take it) runs in integers on
-    E_k = (q v)^k k! C_k(u/v), E_k = a_k u E_{k-1} - (k-1) q b_k v^2 E_{k-2} with
-    (a_k, b_k) from `_exact_steps`, and reduces once, as E_m / ((q v)^m m!).
+    E_k = (q v)^k k! C_k(u/v), E_k = a_k u E_{k-1} - b_k v^2 E_{k-2} with (a_k, b_k)
+    from `_exact_steps`, the scale of the exact rows times v^k, and reduces once, as
+    E_m / ((q v)^m m!).
     A float t that is inf or nan raises ValueError.
     """
     lam = check_lambda(lam)
@@ -309,8 +299,8 @@ def value_via_recurrence(lam, m: int, t):
     t = EXACT.coerce(t)
     u, v = t.numerator, t.denominator
     older, value = 0, 1
-    for j, (a, b) in enumerate(islice(_exact_steps(p, q), m)):
-        older, value = value, a * u * value - j * q * b * v * v * older
+    for a, b in islice(_exact_steps(p, q), m):
+        older, value = value, a * u * value - b * v * v * older
     return Fraction(value, (q * v) ** m * factorial(m))
 
 

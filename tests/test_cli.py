@@ -79,7 +79,7 @@ class TestTable:
 
     def test_corrupt_recurrence_row_is_our_defect(self, runner, monkeypatch):
         # a wrong row fails its Gegenbauer-equation check before any row is written
-        corrupt_exact_row(monkeypatch, 5, lambda row, d: ([*row[:3], row[3] + 1, *row[4:]], d))
+        corrupt_exact_row(monkeypatch, 5, lambda row, s: ([*row[:3], row[3] + 1, *row[4:]], s))
         res = invoke(runner, "table", "--lambda", "17/7", "--order", "8", "--route", "recurrence")
         assert res.exit_code == 2
         assert res.stdout == ""

@@ -298,28 +298,28 @@ def generic_float_recurrence(lam: float, n: int) -> list:
 
 
 def assert_recurrence_rows_reduced(lam: Fraction, n: int):
-    """The exact recurrence table holds R_m[j] / d_m of `_exact_rows`, each reduced on its own,
+    """The exact recurrence table holds E_m[j] / s_m of `_exact_rows`, each reduced on its own,
     entry for entry, type for type and in lowest terms."""
     rows = islice(gegenbauer._exact_rows(lam.numerator, lam.denominator), n + 1)
-    want = [[Fraction(c, d) if c else EXACT.zero for c in row] for row, d in rows]
+    want = [[Fraction(c, s) if c else EXACT.zero for c in row] for row, s in rows]
     got = [list(p.coeffs) for p in table_via_recurrence(GegenbauerParams(lam, n)).polys]
     assert [[(type(c), c.numerator, c.denominator) for c in row] for row in got] == [
         [(type(c), c.numerator, c.denominator) for c in row] for row in want]
 
 
 def corrupt_exact_row(monkeypatch, m: int, change):
-    """Makes `gegenbauer._exact_rows` yield `change(row, d)` in place of its row m."""
+    """Makes `gegenbauer._exact_rows` yield `change(row, s)` in place of its row m."""
     rows = gegenbauer._exact_rows
 
     def corrupted(p, q):
-        for j, (row, d) in enumerate(rows(p, q)):
-            yield change(list(row), d) if j == m else (row, d)
+        for j, (row, s) in enumerate(rows(p, q)):
+            yield change(list(row), s) if j == m else (row, s)
 
     monkeypatch.setattr(gegenbauer, "_exact_rows", corrupted)
 
 
 class TestRecurrenceKernels:
-    """The exact branch runs in integers on rows R_m / d_m kept primitive; the float branch is
+    """The exact branch runs in integers on rows E_m / s_m at the scale q^m m!; the float branch is
     the generic loop restricted to the entries of the parity of m, and keeps its bits."""
 
     @settings(max_examples=40, deadline=None)
@@ -335,12 +335,14 @@ class TestRecurrenceKernels:
         assert [list(p.coeffs) for p in tbl.polys] == gegenbauer_coeff_lists(Fraction(lam), 30)
 
     @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(17, 7), *WIDE_LAMBDAS], ids=str)
-    def test_exact_rows_are_primitive(self, lam):
-        # C_m = R_m / d_m with gcd(d_m, *R_m) = 1, so d_m is the lcm of the reduced denominators
+    def test_exact_rows_are_at_the_fixed_scale(self, lam):
+        # C_m = E_m / s_m with s_m = q^m m!, the scale of the exact `value_via_recurrence` too;
+        # the explicit sum is the oracle, which is far quicker at m = 120 than the bivariate one
         rows = islice(gegenbauer._exact_rows(lam.numerator, lam.denominator), 121)
-        for m, (row, d) in enumerate(rows):
-            assert len(row) == m + 1 and d > 0 and math.gcd(d, *row) == 1
-            assert math.lcm(*(Fraction(c, d).denominator for c in row)) == d
+        want = explicit_coeff_lists(lam, 120)
+        for m, (row, s) in enumerate(rows):
+            assert s == lam.denominator**m * math.factorial(m)
+            assert row == [s * c for c in want[m]]
 
     @settings(max_examples=25, deadline=None)
     @given(st.builds(Fraction, st.integers(1, 999), st.integers(1, 999)),
@@ -366,16 +368,24 @@ class TestRecurrenceKernels:
     @pytest.mark.parametrize("k", [9, 7, 1])
     def test_entry_off_by_one_is_named(self, monkeypatch, k):
         # the leading entry fails the scale check, every other one the Gegenbauer equation
-        corrupt_exact_row(monkeypatch, 9, lambda row, d: ([*row[:k], row[k] + 1, *row[k + 1:]], d))
+        corrupt_exact_row(monkeypatch, 9, lambda row, s: ([*row[:k], row[k] + 1, *row[k + 1:]], s))
         with pytest.raises(ArithmeticError, match=rf"row 9\b.*\bt\^{k}\b"):
             table_via_recurrence(GegenbauerParams(Fraction(17, 7), 12))
 
     @pytest.mark.parametrize("m", [0, 1, 9])
     def test_doubled_denominator_fails_the_scale_check(self, monkeypatch, m):
-        # every ratio R[k+2] / R[k] is unchanged, so only the leading coefficient can tell
-        corrupt_exact_row(monkeypatch, m, lambda row, d: (row, 2 * d))
+        # every ratio E[k+2] / E[k] is unchanged, so only the leading coefficient can tell
+        corrupt_exact_row(monkeypatch, m, lambda row, s: (row, 2 * s))
         with pytest.raises(ArithmeticError, match=rf"row {m}: leading coefficient of t\^{m}\b"):
             table_via_recurrence(GegenbauerParams(Fraction(17, 7), 12))
+
+    def test_row_at_another_scale_is_the_same_row(self, monkeypatch):
+        # the certificate reads the values E_m / s_m, not their representation
+        want = table_via_recurrence(GegenbauerParams(Fraction(17, 7), 12)).polys
+        corrupt_exact_row(monkeypatch, 9, lambda row, s: ([3 * x for x in row], 3 * s))
+        got = table_via_recurrence(GegenbauerParams(Fraction(17, 7), 12)).polys
+        assert [[(type(c), c.numerator, c.denominator) for c in p.coeffs] for p in got] == [
+            [(type(c), c.numerator, c.denominator) for c in p.coeffs] for p in want]
 
     def test_exact_equals_composition_at_high_degree(self):
         # 251/185: a three-digit denominator, so C(-lam, j) has wide denominators
