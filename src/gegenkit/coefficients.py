@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-def _check_index(m, name: str = "index") -> None:
+def _check_index(m, name: str) -> None:
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError(f"{name} must be a nonnegative integer")
 
@@ -44,7 +44,7 @@ def check_lambda(lam):
 
 def _rising_product(a: int, q: int, m: int) -> int:
     """prod_{j<m} (a + j q), that is q^m (a/q)_m in integers."""
-    _check_index(m)
+    _check_index(m, "m")
     return math.prod(range(a, a + m * q, q))
 
 
@@ -54,7 +54,7 @@ def gamma_ratios(x, m: int) -> list:
     The incremental form keeps float evaluation overflow-free for any x
     where the values fit.  Any x but a float goes through `EXACT.coerce`.
     """
-    _check_index(m)
+    _check_index(m, "m")
     if not isinstance(x, float):
         x = EXACT.coerce(x)
     c = x ** 0

@@ -1,9 +1,9 @@
 """The two scalar fields, exact and float, and the scalar literal format.
 
 Scalars are plain Python values and combine through their own operators; a
-`CoefficientField` supplies the zero and the coercion rule of one
-realization: `EXACT` (``fractions.Fraction``, canonical after every
-operation) or `FLOAT64` (IEEE-754 doubles).  Every point and parameter the
+`CoefficientField` supplies the coercion rule of one realization: `EXACT`
+(``fractions.Fraction``, canonical after every operation) or `FLOAT64`
+(IEEE-754 doubles).  Every point and parameter the
 library takes goes through one of the two coercions, and neither takes a
 `bool`.  Fields are named tuples and compare by value:
 `EXACT != FLOAT64`.
@@ -38,13 +38,12 @@ _EXACT_LITERAL = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
 
 
 class CoefficientField(NamedTuple):
-    """Constants and coercion for one scalar realization; an immutable named tuple.
+    """The coercion rule of one scalar realization; an immutable named tuple.
 
     Arithmetic uses the scalars' own operators, so division by zero always
     raises ``ZeroDivisionError`` instead of producing a silent inf/nan.
     """
 
-    zero: object
     coerce: Callable
 
 
@@ -66,8 +65,8 @@ def _to_float(value) -> float:
     raise TypeError(f"cannot coerce {type(value).__name__} into the float64 field")
 
 
-EXACT = CoefficientField(Fraction(0), _to_fraction)
-FLOAT64 = CoefficientField(0.0, _to_float)
+EXACT = CoefficientField(_to_fraction)
+FLOAT64 = CoefficientField(_to_float)
 
 
 def parse_scalar(text: str):

@@ -230,7 +230,7 @@ def _certified_rows(p: int, q: int, n: int):
         if row[m] * c.denominator != c.numerator * s:
             raise ArithmeticError(f"exact recurrence row {m}: leading coefficient of t^{m} is off")
         lead = c * Fraction(2 * (p + m * q), (m + 1) * q)
-        out = [EXACT.zero] * (m + 1)
+        out = [Fraction(0)] * (m + 1)
         out[m] = c
         num, den = c.numerator, c.denominator
         for k in range(m - 2, -1, -2):

@@ -8,14 +8,14 @@ The left side is the Cauchy-product coefficient of the conjugate factor pair
 at phi = 0; the right side is the coefficient comparison of (1-r)^(-2 lam).
 Float mode reports a relative residual.
 
-Exact mode asserts equality in integers: with lam = p/q, multiplying by q^m m!
-turns the identity into sum_k t_k == Q_m, with t_k = C(m, k) P_k P_{m-k},
-P_k = prod_{j<k} (p + j q) and Q_m = prod_{j<m} (2p + j q) (DLMF 5.2(iii)).
+Exact mode compares two reduced Fractions.  With lam = p/q, the left side is
+the integer sum_k t_k over q^m m!, reduced once, with t_k = C(m, k) P_k P_{m-k}
+and P_k = prod_{j<k} (p + j q) (DLMF 5.2(iii)).
 As t_k = t_{m-k} and t_{k+1} / t_k = (m-k)(p + k q) / ((k+1)(p + (m-k-1) q)),
 Horner on that ratio of small integers sums from the middle term out to
 t_0 = P_m with big-by-small products only (Petkovsek, Wilf & Zeilberger, 1996).
 The left side reads P alone; in `verify` the right side is
-gegenbauer.value_at_one, C_m(1).
+gegenbauer.value_at_one, C_m(1) = (2 lam)_m / m!.
 Float mode sums gamma_ratios left to right.
 
 `sweep` takes each lam once.  In both modes its right side is the running row

@@ -28,7 +28,7 @@ class Polynomial(NamedTuple):
         if isinstance(self.coeffs[0], float):
             raise TypeError("a float row is not evaluated by Horner; use GegenbauerTable.evaluate")
         x = EXACT.coerce(t)
-        acc = EXACT.zero
-        for c in reversed(self.coeffs):
+        acc = self.coeffs[-1]
+        for c in self.coeffs[-2::-1]:
             acc = acc * x + c
         return acc

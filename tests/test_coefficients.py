@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gegenkit.coefficients import gamma_ratio_coefficient, gamma_ratios
-from gegenkit.gegenbauer import value_at_one
-from gegenkit.identity import identity_lhs
+from gegenkit.gegenbauer import value_at_one, value_via_conjugate_product
+from gegenkit.identity import identity_lhs, verify
 
 from oracles import falling_binomial, pochhammer
 
@@ -98,6 +98,17 @@ class TestGammaRatioCoefficient:
             exact = gamma_ratio_coefficient(lam, m)
             approx = gamma_ratio_coefficient(float(lam), m)
             assert math.isclose(approx, float(exact), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("m", [-1, True], ids=["negative", "bool"])
+    @pytest.mark.parametrize("call", [value_at_one, verify, identity_lhs, gamma_ratios,
+                                      gamma_ratio_coefficient,
+                                      lambda lam, m: value_via_conjugate_product(lam, 0.5, m)],
+                             ids=["at-one", "verify", "lhs", "ratios", "coefficient", "conjugate"])
+    def test_bad_degree_is_named_m(self, call, m):
+        # every public function that takes a degree names it by its argument, m
+        with pytest.raises(ValueError) as exc:
+            call(Fraction(1, 2), m)
+        assert str(exc.value) == "m must be a nonnegative integer"
 
 
 class TestSignedBinomial:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gegenkit import gegenbauer
 from gegenkit.coefficients import gamma_ratio_coefficient, gamma_ratios
-from gegenkit.fields import EXACT, FLOAT64
+from gegenkit.fields import EXACT, FLOAT64, CoefficientField
 from gegenkit.gegenbauer import (
     GegenbauerParams,
     GegenbauerTable,
@@ -146,7 +146,7 @@ _RECORDS = {
     "conjugate": (lambda: value_via_conjugate_product(1.5, 0.7, 9), "value"),
     "derivative": (lambda: derivative_interchange_check(1.5, 0.5, 0.4, 12), "residual"),
     "identity": (lambda: sweep([Fraction(7, 3)], 4)[-1], "exact_equal"),
-    "field": (lambda: EXACT, "zero"),
+    "field": (lambda: EXACT, "coerce"),
 }
 
 _ROUND_TRIPS = {
@@ -213,6 +213,7 @@ class TestRecords:
 
     def test_fields_are_unequal(self):
         assert EXACT != FLOAT64
+        assert CoefficientField._fields == ("coerce",)
 
 
 class TestComposition:
@@ -301,7 +302,7 @@ def assert_recurrence_rows_reduced(lam: Fraction, n: int):
     """The exact recurrence table holds E_m[j] / s_m of `_exact_rows`, each reduced on its own,
     entry for entry, type for type and in lowest terms."""
     rows = islice(gegenbauer._exact_rows(lam.numerator, lam.denominator), n + 1)
-    want = [[Fraction(c, s) if c else EXACT.zero for c in row] for row, s in rows]
+    want = [[Fraction(c, s) if c else Fraction(0) for c in row] for row, s in rows]
     got = [list(p.coeffs) for p in table_via_recurrence(GegenbauerParams(lam, n)).polys]
     assert [[(type(c), c.numerator, c.denominator) for c in row] for row in got] == [
         [(type(c), c.numerator, c.denominator) for c in row] for row in want]

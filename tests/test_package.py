@@ -99,6 +99,26 @@ def test_commands_run_without_click():
         assert (run.returncode, run.stdout) == (case["exit_code"], case["stdout"]), case["args"]
 
 
+def test_commands_run_under_OO():
+    # python -OO strips every docstring: help is still written, and the first golden case of
+    # each command prints its golden bytes
+    cases = json.loads((ROOT / "tests" / "cli_golden.json").read_text(encoding="utf-8"))
+    firsts = {case["args"][0]: case for case in reversed(cases)}
+
+    def run(args):
+        return subprocess.run([sys.executable, "-OO", "-m", "gegenkit.cli", *args],
+                              capture_output=True, env=child_env(), encoding="utf-8")
+
+    for args in (["--help"], ["table", "--help"]):
+        res = run(args)
+        lines = res.stdout.splitlines()
+        # no docstring between the usage line and the options
+        assert (res.returncode, lines[0][:7], lines[1:3]) == (0, "Usage: ", ["", "Options:"]), args
+    for case in firsts.values():
+        res = run(case["args"])
+        assert (res.returncode, res.stdout) == (case["exit_code"], case["stdout"]), case["args"]
+
+
 def test_csv_runs_import_no_csv():
     # a fresh interpreter in which `import csv` fails runs `gegenkit.cli` as __main__ on every
     # golden --format csv case: a csv line is its cells joined by ','
